@@ -4,7 +4,7 @@ Every subcommand has a table mode (default, plain ``key=value`` lines) and
 a ``--json`` mode with sorted keys, byte-identical across runs. Exact
 rationals are emitted as ``{"den": ..., "num": ...}``. Exit codes: 0 on
 success, 1 on domain errors (typed error name on stderr), 2 on usage
-errors.
+errors, 3 on a failed internal cross-check (``InvariantViolation``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import brieskorn, criteria, fronts, handlebody
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation, MalformedToken
 
 
 def _canonical(value):
@@ -83,21 +83,20 @@ def _cmd_front_stabilize(args) -> None:
     _emit(args, payload, fronts.serialize_front(out).splitlines())
 
 
-def _parse_schedule(text: str) -> fronts.StabilizationSchedule:
+def _parse_schedule(text: str) -> tuple[int, int]:
     try:
         up_s, down_s = text.split(",")
-        return fronts.StabilizationSchedule(up=int(up_s), down=int(down_s))
+        return int(up_s), int(down_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}") from None
 
 
 def _cmd_torus_knot(args) -> None:
-    diagram = fronts.torus_knot_front(fronts.TorusKnotParams(args.p, args.q))
+    params = fronts.TorusKnotParams(args.p, args.q)
+    schedule = None
     if args.stabilize is not None:
-        for _ in range(args.stabilize.up):
-            diagram = fronts.stabilize_diagram(diagram, 0, fronts.UP, 0)
-        for _ in range(args.stabilize.down):
-            diagram = fronts.stabilize_diagram(diagram, 0, fronts.DOWN, 0)
+        schedule = fronts.StabilizationSchedule(*args.stabilize)
+    diagram = fronts.torus_knot_front(params, schedule)
     inv = fronts.invariants(diagram, 0)
     word = "; ".join(f"{ev.kind} {ev.position}" for ev in diagram.events)
     payload = {
@@ -323,6 +322,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageExit(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise MalformedToken(
+            f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,6 +443,9 @@ def main(argv=None) -> int:
     except UsageExit as exc:
         print(f"UsageError: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"InvariantViolation: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -10,6 +10,14 @@ class DomainError(Exception):
     """Base class for all expected failure modes."""
 
 
+class InvariantViolation(Exception):
+    """Internal consistency bug: a mathematical cross-check failed.
+
+    Not a ``DomainError``: no input, however bad, should raise it. The CLI
+    exits 3 on it.
+    """
+
+
 # front diagrams
 
 class MalformedToken(DomainError):

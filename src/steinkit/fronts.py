@@ -16,11 +16,23 @@ Orientation convention: each component is canonically oriented so that the
 upper strand of its first-created left cusp points rightward; components
 listed in ``orientation_flips`` are reversed. Orientation reverses across
 every cusp and is preserved through crossings.
+
+Tracing. A diagram is traced once, when it is built, as threads: an *arc*
+is a piece of strand from a left cusp to a right cusp, and one sweep keeps
+the list of arcs at each strand height. ``L`` inserts two new arcs, ``R``
+joins the two it merges, ``X`` swaps two entries and records the pair.
+Arcs meeting at a cusp run in opposite directions, so a union-find over
+arcs with a parity bit per arc gives the components (numbered by their
+creating left cusp) and every arc's direction. One pass over the recorded
+crossings and cusps then gives every tb, every r and the whole linking
+matrix; ``components``, ``invariants`` and ``linking_number`` only look
+them up. The (gap, slot) segments of a component, which index
+``stabilize_diagram``'s insertion points, take one more sweep and are built
+only when asked for.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +42,10 @@ from .errors import (
     InvalidInsertionPoint,
     InvalidParams,
     InvalidPosition,
+    InvariantViolation,
     MalformedToken,
-    SameComponent,
     OddInterCrossingCount,
+    SameComponent,
     UnbalancedDiagram,
 )
 
@@ -102,6 +115,7 @@ class TorusKnotParams:
 class FrontDiagram:
     events: tuple[FrontEvent, ...]
     orientation_flips: frozenset[int] = field(default_factory=frozenset)
+    _threads: _Threads = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
@@ -111,7 +125,6 @@ class FrontDiagram:
         if not self.events:
             raise EmptyDiagram("front has no events")
         strands = 0
-        lefts = rights = 0
         for k, ev in enumerate(self.events):
             if ev.kind == LEFT_CUSP:
                 if ev.position > strands:
@@ -119,7 +132,6 @@ class FrontDiagram:
                         f"event {k}: L {ev.position} with {strands} strands"
                     )
                 strands += 2
-                lefts += 1
             else:
                 if ev.position > strands - 2:
                     raise InvalidPosition(
@@ -127,125 +139,187 @@ class FrontDiagram:
                     )
                 if ev.kind == RIGHT_CUSP:
                     strands -= 2
-                    rights += 1
         if strands != 0:
             raise UnbalancedDiagram(f"{strands} strands left open")
-        assert lefts == rights
-        ncomp = len(_trace(self).components)
-        for c in self.orientation_flips:
-            if not 0 <= c < ncomp:
-                raise ComponentOutOfRange(
-                    f"flip {c} with {ncomp} components"
-                )
+        object.__setattr__(self, "_threads", _Threads(self))
 
 
 @dataclass(frozen=True)
 class Component:
-    """One link component: its index, creating event and strand segments."""
+    """One link component: its index and creating event.
+
+    ``segments`` are its (gap, slot) pairs, sorted: gap g lies between
+    events g-1 and g, and slot 0 is the topmost strand in that gap. They are
+    built on first read.
+    """
 
     index: int
     created_at: int  # index of the left-cusp event that first creates it
-    segments: tuple[tuple[int, int], ...]  # (gap, slot) pairs, sorted
+    _threads: _Threads = field(repr=False, compare=False)
+
+    @property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        return self._threads.segments(self.index)[0]
 
 
-class _Trace:
-    """Traversal data for one diagram: segments, components, orientations.
+def _sweep(events):
+    """Replay a valid event word: yield ``(event index, kind, upper arc,
+    lower arc, heights)`` per event, where the arcs are the two the event
+    touches (before a crossing swaps them) and ``heights`` lists the arc at
+    each strand height after the event. Arcs are numbered 0, 1, 2, ... in the
+    order their left cusps create them, upper arc first. The same list is
+    yielded each time, updated in place."""
+    heights: list[int] = []
+    arcs = 0
+    for g, ev in enumerate(events):
+        i = ev.position
+        if ev.kind == LEFT_CUSP:
+            a, b = arcs, arcs + 1
+            arcs += 2
+            heights[i:i] = (a, b)
+        else:
+            a, b = heights[i], heights[i + 1]
+            if ev.kind == RIGHT_CUSP:
+                del heights[i : i + 2]
+            else:
+                heights[i], heights[i + 1] = b, a
+        yield g, ev.kind, a, b, heights
 
-    A *segment* is a horizontal piece of strand between two consecutive
-    events, identified by (gap, slot): gap g lies between events g-1 and g,
-    slot 0 is the topmost strand in that gap. Every segment has exactly two
-    incident connections (its two ends), so segments decompose into cycles,
-    one per link component.
-    """
+
+class _Threads:
+    """Components, orientations and invariants of one diagram, from one
+    sweep over its events (see the module docstring)."""
 
     def __init__(self, diagram: FrontDiagram):
-        events = diagram.events
-        adj: dict[tuple[int, int], list[tuple[tuple[int, int], bool]]] = {}
+        parent: list[int] = []  # union-find forest over arcs
+        parity: list[int] = []  # 1 if an arc runs opposite to its parent
+        size: list[int] = []
 
-        def link(a, b, is_cusp):
-            adj.setdefault(a, []).append((b, is_cusp))
-            adj.setdefault(b, []).append((a, is_cusp))
+        def find(a: int) -> tuple[int, int]:
+            p = 0
+            while parent[a] != a:
+                p ^= parity[a]
+                a = parent[a]
+            return a, p
 
-        # cusp/crossing records as (event_index, upper_segment, lower_segment)
-        self.left_cusps: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-        self.right_cusps: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-        self.crossings: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
+        def join(a: int, b: int) -> None:
+            """Arcs ``a`` and ``b`` meet at a cusp: opposite directions."""
+            (ra, pa), (rb, pb) = find(a), find(b)
+            if ra == rb:
+                if pa == pb:
+                    raise InvariantViolation("front does not close up")
+                return
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            parity[rb] = pa ^ pb ^ 1
+            size[ra] += size[rb]
 
-        strands = 0
-        for g, ev in enumerate(events):
-            i = ev.position
-            if ev.kind == LEFT_CUSP:
-                for j in range(strands):
-                    link((g, j), (g + 1, j if j < i else j + 2), False)
-                link((g + 1, i), (g + 1, i + 1), True)
-                self.left_cusps.append((g, (g + 1, i), (g + 1, i + 1)))
-                strands += 2
-            elif ev.kind == RIGHT_CUSP:
-                link((g, i), (g, i + 1), True)
-                self.right_cusps.append((g, (g, i), (g, i + 1)))
-                for j in range(strands):
-                    if j == i or j == i + 1:
-                        continue
-                    link((g, j), (g + 1, j if j < i else j - 2), False)
-                strands -= 2
-            else:
-                self.crossings.append((g, (g, i), (g, i + 1)))
-                for j in range(strands):
-                    tgt = i + 1 if j == i else i if j == i + 1 else j
-                    link((g, j), (g + 1, tgt), False)
-
-        # Discover components in order of their creating left cusp; orient by
-        # pointing the upper branch of that cusp rightward, then propagate
-        # (direction flips across cusps, survives crossings and gaps).
-        self.comp_of: dict[tuple[int, int], int] = {}
-        self.direction: dict[tuple[int, int], int] = {}
-        self.components: list[Component] = []
-        for event_index, upper, _lower in self.left_cusps:
-            if upper in self.comp_of:
+        lefts: list[tuple[int, int]] = []  # (event index, upper arc)
+        rights: list[int] = []  # upper arc
+        crossings: list[tuple[int, int]] = []  # (upper arc, lower arc)
+        for g, kind, a, b, _heights in _sweep(diagram.events):
+            if kind == CROSSING:
+                crossings.append((a, b))
                 continue
-            idx = len(self.components)
-            stack = [upper]
-            self.comp_of[upper] = idx
-            self.direction[upper] = 1
-            segs = [upper]
-            while stack:
-                u = stack.pop()
-                for v, is_cusp in adj[u]:
-                    d = -self.direction[u] if is_cusp else self.direction[u]
-                    if v in self.comp_of:
-                        assert self.comp_of[v] == idx
-                        assert self.direction[v] == d, "front does not close up"
-                        continue
-                    self.comp_of[v] = idx
-                    self.direction[v] = d
-                    segs.append(v)
-                    stack.append(v)
-            self.components.append(
-                Component(idx, event_index, tuple(sorted(segs)))
-            )
-        assert len(self.comp_of) == len(adj), "untraced strands"
+            if kind == LEFT_CUSP:
+                parent += (a, b)
+                parity += (0, 0)
+                size += (1, 1)
+                lefts.append((g, a))
+            else:
+                rights.append(a)
+            join(a, b)
+        if 2 * len(rights) != len(parent):
+            raise InvariantViolation("untraced strands")
 
+        # Number components by their creating left cusp and orient each so
+        # that the upper arc of that cusp points rightward, then flip.
+        roots = [find(a) for a in range(len(parent))]
+        comp_of_root: dict[int, int] = {}
+        sign_of_root: dict[int, int] = {}
+        self.created_at: list[int] = []
+        for g, a in lefts:
+            root, p = roots[a]
+            if root not in comp_of_root:
+                comp_of_root[root] = len(self.created_at)
+                sign_of_root[root] = -1 if p else 1
+                self.created_at.append(g)
+        k = len(self.created_at)
         for c in diagram.orientation_flips:
-            if c < len(self.components):
-                for seg in self.components[c].segments:
-                    self.direction[seg] = -self.direction[seg]
+            if not 0 <= c < k:
+                raise ComponentOutOfRange(f"flip {c} with {k} components")
+        for root, c in comp_of_root.items():
+            if c in diagram.orientation_flips:
+                sign_of_root[root] = -sign_of_root[root]
+        comp = [comp_of_root[root] for root, _p in roots]
+        sign = [-sign_of_root[root] if p else sign_of_root[root] for root, p in roots]
 
+        # One pass over crossings and cusps gives every tb, r and lk.
+        signed = [[0] * k for _ in range(k)]  # by (upper, lower) component
+        self.crossing_signs = tuple(sign[a] * sign[b] for a, b in crossings)
+        for (a, b), s in zip(crossings, self.crossing_signs):
+            signed[comp[a]][comp[b]] += s
+        # A left cusp is traversed downward iff its upper arc points
+        # leftward; a right cusp iff its upper arc points rightward.
+        twice_r = [0] * k
+        left_cusps = [0] * k
+        for _g, u in lefts:
+            twice_r[comp[u]] -= sign[u]
+            left_cusps[comp[u]] += 1
+        for u in rights:
+            twice_r[comp[u]] += sign[u]
+        self.invariants: list[LegendrianInvariants] = []
+        for c in range(k):
+            if twice_r[c] % 2 != 0:
+                raise InvariantViolation(
+                    f"component {c}: odd signed cusp count {twice_r[c]}"
+                )
+            self.invariants.append(LegendrianInvariants(
+                tb=signed[c][c] - left_cusps[c], r=twice_r[c] // 2
+            ))
+        self.linking = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                lk2 = signed[i][j] + signed[j][i]
+                if lk2 % 2 != 0:
+                    raise OddInterCrossingCount(
+                        f"odd inter-component crossing count {lk2}"
+                    )
+                self.linking[i][j] = self.linking[j][i] = lk2 // 2
 
-@functools.lru_cache(maxsize=256)
-def _trace(diagram: FrontDiagram) -> _Trace:
-    return _Trace(diagram)
+        self._events = diagram.events
+        self._comp = comp
+        self.sign = sign
+        self._segments: dict[int, tuple[tuple[tuple[int, int], ...], list[int]]] = {}
+
+    def segments(self, c: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+        """Sorted (gap, slot) segments of component ``c`` and the arc on
+        each; built by one more sweep on first request."""
+        if c not in self._segments:
+            comp = self._comp
+            segs: list[tuple[int, int]] = []
+            arcs: list[int] = []
+            for g, _kind, _a, _b, heights in _sweep(self._events):
+                for slot, arc in enumerate(heights):
+                    if comp[arc] == c:
+                        segs.append((g + 1, slot))
+                        arcs.append(arc)
+            self._segments[c] = (tuple(segs), arcs)
+        return self._segments[c]
 
 
 def components(diagram: FrontDiagram) -> list[Component]:
     """Components in canonical order (earliest creating event first)."""
-    return list(_trace(diagram).components)
+    tr = diagram._threads
+    return [Component(c, g, tr) for c, g in enumerate(tr.created_at)]
 
 
-def _check_component(diagram: FrontDiagram, c: int) -> _Trace:
-    tr = _trace(diagram)
-    if not 0 <= c < len(tr.components):
+def _check_component(diagram: FrontDiagram, c: int) -> _Threads:
+    tr = diagram._threads
+    if not 0 <= c < len(tr.created_at):
         raise ComponentOutOfRange(
-            f"component {c} with {len(tr.components)} components"
+            f"component {c} with {len(tr.created_at)} components"
         )
     return tr
 
@@ -258,29 +332,7 @@ def invariants(diagram: FrontDiagram, c: int) -> LegendrianInvariants:
     orientation signs (+1 rightward). r is half the signed cusp count,
     counting a cusp positively when traversed downward.
     """
-    tr = _check_component(diagram, c)
-    signed_crossings = 0
-    for _g, a, b in tr.crossings:
-        if tr.comp_of[a] == c and tr.comp_of[b] == c:
-            signed_crossings += tr.direction[a] * tr.direction[b]
-    left_cusps = sum(1 for _g, u, _lo in tr.left_cusps if tr.comp_of[u] == c)
-    # A left cusp is traversed downward iff its upper branch points leftward;
-    # a right cusp iff its upper branch points rightward.
-    down = up = 0
-    for _g, u, _lo in tr.left_cusps:
-        if tr.comp_of[u] == c:
-            if tr.direction[u] < 0:
-                down += 1
-            else:
-                up += 1
-    for _g, u, _lo in tr.right_cusps:
-        if tr.comp_of[u] == c:
-            if tr.direction[u] > 0:
-                down += 1
-            else:
-                up += 1
-    assert (down - up) % 2 == 0
-    return LegendrianInvariants(tb=signed_crossings - left_cusps, r=(down - up) // 2)
+    return _check_component(diagram, c).invariants[c]
 
 
 def linking_number(diagram: FrontDiagram, c1: int, c2: int) -> int:
@@ -289,15 +341,7 @@ def linking_number(diagram: FrontDiagram, c1: int, c2: int) -> int:
         raise SameComponent(f"component {c1} given twice")
     tr = _check_component(diagram, c1)
     _check_component(diagram, c2)
-    signed = 0
-    for _g, a, b in tr.crossings:
-        if {tr.comp_of[a], tr.comp_of[b]} == {c1, c2}:
-            signed += tr.direction[a] * tr.direction[b]
-    if signed % 2 != 0:
-        raise OddInterCrossingCount(
-            f"odd inter-component crossing count {signed}"
-        )
-    return signed // 2
+    return tr.linking[c1][c2]
 
 
 def stabilize_invariants(
@@ -341,13 +385,13 @@ def stabilize_diagram(
     if direction not in (UP, DOWN):
         raise InvalidParams(f"direction must be 'up' or 'down', got {direction!r}")
     tr = _check_component(diagram, c)
-    segments = tr.components[c].segments
+    segments, arcs = tr.segments(c)
     if not 0 <= at < len(segments):
         raise InvalidInsertionPoint(
             f"insertion point {at} with {len(segments)} segments"
         )
     gap, slot = segments[at]
-    rightward = tr.direction[(gap, slot)] > 0
+    rightward = tr.sign[arcs[at]] > 0
     # On a rightward strand a down zig-zag dips below (left cusp under the
     # strand, right cusp merging into it); on a leftward strand the roles swap.
     if (direction == DOWN) == rightward:
@@ -364,18 +408,29 @@ def stabilize_diagram(
     return FrontDiagram(events, diagram.orientation_flips)
 
 
-def torus_knot_front(params: TorusKnotParams) -> FrontDiagram:
+def torus_knot_front(
+    params: TorusKnotParams, schedule: StabilizationSchedule | None = None
+) -> FrontDiagram:
     """Standard front of the right-handed (p, q) torus knot.
 
     p left cusps, then q blocks of the positive braid word, then p right
     cusps: exactly (p-1)q crossings, all positive, with tb = (p-1)q - p
     and r = 0.
+
+    A ``schedule`` splices its zig-zags in after the first left cusp, giving
+    the word that ``stabilize_diagram(d, 0, UP, 0)`` applied ``up`` times and
+    then ``stabilize_diagram(d, 0, DOWN, 0)`` applied ``down`` times give:
+    segment 0 is always the rightward upper arc of that cusp.
     """
     p, q = params.p, params.q
     events = [FrontEvent(LEFT_CUSP, i) for i in range(p)]
     for _ in range(q):
         events.extend(FrontEvent(CROSSING, i) for i in range(p - 1))
     events.extend(FrontEvent(RIGHT_CUSP, i) for i in range(p - 1, -1, -1))
+    if schedule is not None:
+        down = (FrontEvent(LEFT_CUSP, 1), FrontEvent(RIGHT_CUSP, 0))
+        up = (FrontEvent(LEFT_CUSP, 0), FrontEvent(RIGHT_CUSP, 1))
+        events[1:1] = down * schedule.down + up * schedule.up
     return FrontDiagram(tuple(events))
 
 
@@ -395,9 +450,13 @@ def parse_front(text: str) -> FrontDiagram:
         if len(parts) != 2:
             raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
         tag, arg = parts
-        if not arg.lstrip("-").isdigit():
+        digits = arg[1:] if arg.startswith("-") else arg
+        if not (digits.isascii() and digits.isdigit()):  # -?[0-9]+
             raise MalformedToken(f"line {lineno}: bad integer {arg!r}")
-        value = int(arg)
+        try:
+            value = int(arg)
+        except ValueError:  # more digits than int() converts
+            raise MalformedToken(f"line {lineno}: integer too long") from None
         if tag == "flip":
             if value < 0:
                 raise MalformedToken(f"line {lineno}: negative flip index")

@@ -1,6 +1,10 @@
 """CLI contract tests: output shapes, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +183,42 @@ class TestExitCodes:
         code, _, err = run(capsys, "front", "stats", "/nonexistent/file.front")
         assert code == 2
         assert "UsageError" in err
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "steinkit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestTypedFailures:
+    """Bad input ends in exit 1 with one typed line, never a traceback."""
+
+    def assert_typed(self, proc, name):
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{name}: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_non_ascii_digit_in_front(self, tmp_path):
+        path = tmp_path / "bad.front"
+        path.write_text("L 0\nR ²\n", encoding="utf-8")
+        self.assert_typed(run_process("front", "stats", str(path)), "MalformedToken")
+
+    @pytest.mark.parametrize(
+        "command,suffix",
+        [(("front", "stats"), ".front"), (("handlebody", "analyze"), ".kirby")],
+    )
+    def test_non_utf8_file(self, tmp_path, command, suffix):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(b"L 0\n\xff\xfe 1\nR 0\n")
+        self.assert_typed(run_process(*command, str(path)), "MalformedToken")
+
+    def test_negative_stabilization_count(self):
+        proc = run_process("torus-knot", "2", "3", "--stabilize=-1,0")
+        self.assert_typed(proc, "InvalidParams")

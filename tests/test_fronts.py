@@ -90,6 +90,13 @@ class TestParsing:
         d = fronts.parse_front("# front\n\nL 0  # open\nR 0\n")
         assert fronts.invariants(d, 0) == LegendrianInvariants(-1, 0)
 
+    @pytest.mark.parametrize(
+        "arg", ["\u00b2", "--0", "-", "+1", "1_0", "\u0663", "0x1", "1" * 5000]
+    )
+    def test_bad_integer(self, arg):
+        with pytest.raises(MalformedToken):
+            fronts.parse_front(f"L 0\nR {arg}\n")
+
     def test_round_trip(self):
         d = fronts.parse_front(HOPF + "flip 1\n")
         assert fronts.parse_front(fronts.serialize_front(d)) == d
@@ -226,10 +233,26 @@ class TestTorusKnotFront:
 
     def test_all_crossings_positive(self):
         d = fronts.torus_knot_front(TorusKnotParams(3, 4))
-        tr = fronts._trace(d)
-        assert all(
-            tr.direction[a] * tr.direction[b] == 1 for _g, a, b in tr.crossings
-        )
+        signs = d._threads.crossing_signs
+        assert len(signs) == (3 - 1) * 4
+        assert all(s == 1 for s in signs)
+
+    @pytest.mark.parametrize(
+        "p,q", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5)]
+    )
+    def test_schedule_splice_matches_zigzag_loop(self, p, q):
+        params = TorusKnotParams(p, q)
+        for up in range(5):
+            for down in range(5):
+                d = fronts.torus_knot_front(params)
+                for _ in range(up):
+                    d = fronts.stabilize_diagram(d, 0, fronts.UP, 0)
+                for _ in range(down):
+                    d = fronts.stabilize_diagram(d, 0, fronts.DOWN, 0)
+                spliced = fronts.torus_knot_front(
+                    params, StabilizationSchedule(up, down)
+                )
+                assert spliced == d
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
