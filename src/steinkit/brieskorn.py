@@ -16,6 +16,7 @@ from .errors import (
     InvalidParams,
     NonIntegralResult,
 )
+from .fronts import TorusKnotParams
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,7 @@ class SurgeryDescription:
     sign: int
 
     def __post_init__(self):
-        if not (2 <= self.p < self.q) or math.gcd(self.p, self.q) != 1:
-            raise InvalidParams(f"bad torus knot parameters ({self.p}, {self.q})")
+        TorusKnotParams(self.p, self.q)
         if self.n < 1:
             raise InvalidParams(f"n must be positive, got {self.n}")
         if self.sign not in (1, -1):
@@ -181,8 +181,7 @@ def theta_closed_form(p: int, q: int, n: int) -> int:
 
 
 def _check_pqn(p: int, q: int, n: int) -> None:
-    if not (2 <= p < q) or math.gcd(p, q) != 1:
-        raise InvalidParams(f"bad torus knot parameters ({p}, {q})")
+    TorusKnotParams(p, q)
     if n < 1:
         raise InvalidParams(f"n must be positive, got {n}")
 

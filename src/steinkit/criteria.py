@@ -8,7 +8,6 @@ stabilization reaches the required target.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .brieskorn import BrieskornTriple, OrientedBrieskorn, milnor_invariants
@@ -16,6 +15,7 @@ from .errors import ExcludedCase, InvalidParams
 from .fronts import (
     LegendrianInvariants,
     StabilizationSchedule,
+    TorusKnotParams,
     reachable,
     stabilize_invariants,
 )
@@ -86,11 +86,9 @@ def brieskorn_embed_plan(p: int, q: int, eps: int) -> EmbedPlan:
     with -1; eps = -1: stabilize to (2, 3) and frame with +1. The two
     excluded cases are Sigma(2,3,5) and Sigma(2,5,9).
     """
-    if not (2 <= p < q) or math.gcd(p, q) != 1:
-        raise InvalidParams(f"bad torus knot parameters ({p}, {q})")
+    l = TorusKnotParams(p, q).l
     if eps not in (1, -1):
         raise InvalidParams(f"eps must be +-1, got {eps}")
-    l = (p - 1) * (q - 1) // 2
     source = LegendrianInvariants(tb=(p - 1) * q - p, r=0)
     if eps == 1:
         schedule = StabilizationSchedule(up=l - 1, down=l)

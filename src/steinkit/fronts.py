@@ -106,10 +106,6 @@ class TorusKnotParams:
         # (p-1)(q-1) is even because p, q are coprime.
         return (self.p - 1) * (self.q - 1) // 2
 
-    @property
-    def genus(self) -> int:
-        return self.l
-
 
 @dataclass(frozen=True)
 class FrontDiagram:
@@ -434,6 +430,18 @@ def torus_knot_front(
     return FrontDiagram(tuple(events))
 
 
+def _int_token(token: str, lineno: int) -> int:
+    """The integer a file token spells as ``-?[0-9]+``, or MalformedToken
+    (also when it is too long for ``int()``)."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise MalformedToken(f"line {lineno}: bad integer {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise MalformedToken(f"line {lineno}: integer too long") from None
+
+
 def parse_front(text: str) -> FrontDiagram:
     """Parse the front file format.
 
@@ -450,13 +458,7 @@ def parse_front(text: str) -> FrontDiagram:
         if len(parts) != 2:
             raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
         tag, arg = parts
-        digits = arg[1:] if arg.startswith("-") else arg
-        if not (digits.isascii() and digits.isdigit()):  # -?[0-9]+
-            raise MalformedToken(f"line {lineno}: bad integer {arg!r}")
-        try:
-            value = int(arg)
-        except ValueError:  # more digits than int() converts
-            raise MalformedToken(f"line {lineno}: integer too long") from None
+        value = _int_token(arg, lineno)
         if tag == "flip":
             if value < 0:
                 raise MalformedToken(f"line {lineno}: negative flip index")

@@ -8,7 +8,6 @@ rotation numbers form a characteristic vector of the linking form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +18,7 @@ from .errors import (
     ExcludedCase,
     FramingMismatch,
     InvalidParams,
+    InvariantViolation,
     MalformedToken,
     ParityViolation,
     ScheduleInfeasible,
@@ -116,20 +116,16 @@ def analyze(data: SteinKirbyData) -> FormAnalysis:
     c1^2 and the boundary theta invariant of the handlebody."""
     k = len(data.two_handles)
     chi = 1 - data.one_handles + k
-    q = [list(row) for row in data.linking]
-    det = linalg.determinant(q)
-    sig = linalg.signature(q)
-    c1_squared = None
+    det, sig, c1_squared = linalg.form(data.linking, [h.r for h in data.two_handles])
     theta = None
-    if data.one_handles == 0 and det != 0:
-        rot = [h.r for h in data.two_handles]
-        solution = linalg.solve(q, rot)
-        assert solution is not None
-        c1_squared = sum(Fraction(ri) * xi for ri, xi in zip(rot, solution))
-        if abs(det) == 1:
-            assert c1_squared.denominator == 1
-            assert (c1_squared - sig) % 8 == 0
-            theta = int(c1_squared) - 2 * chi - 3 * sig
+    if data.one_handles != 0:
+        c1_squared = None
+    elif abs(det) == 1:
+        if c1_squared.denominator != 1:
+            raise InvariantViolation(f"c1^2 = {c1_squared} on a unimodular form")
+        if (c1_squared - sig) % 8 != 0:
+            raise InvariantViolation(f"c1^2 = {c1_squared} != sigma = {sig} mod 8")
+        theta = int(c1_squared) - 2 * chi - 3 * sig
     return FormAnalysis(
         chi=chi, b2=k, det=det, signature=sig,
         c1_squared=c1_squared, theta_boundary=theta,
@@ -144,11 +140,9 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
     leaving a single +1-framed handle on T(p,q). The boundary is
     -Sigma(p, q, npq - 1).
     """
-    if not (2 <= p < q) or math.gcd(p, q) != 1:
-        raise InvalidParams(f"bad torus knot parameters ({p}, {q})")
+    l = fronts.TorusKnotParams(p, q).l
     if n < 1:
         raise InvalidParams(f"n must be positive, got {n}")
-    l = (p - 1) * (q - 1) // 2
     if n == 1:
         if (p, q) == (2, 3):
             raise ExcludedCase(
@@ -175,7 +169,8 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
     # Cross-check c1^2 against the pairing in the (section, fiber) basis:
     # section^2 = -n, fiber^2 = 0, section.fiber = 1.
     a, b = c1_pd
-    assert -n * a * a + 2 * a * b == c1_squared
+    if -n * a * a + 2 * a * b != c1_squared:
+        raise InvariantViolation(f"c1^2 = {c1_squared} disagrees with the pairing")
     return NucleusData(
         kirby=kirby,
         l=l,
@@ -204,30 +199,27 @@ def parse_kirby(text: str) -> SteinKirbyData:
         if not line:
             continue
         parts = line.split()
-        try:
-            if parts[0] == "1-handles" and len(parts) == 2:
-                if one_handles is not None:
-                    raise MalformedToken(f"line {lineno}: duplicate 1-handles line")
-                one_handles = int(parts[1])
-            elif parts[0] == "handle" and len(parts) == 4:
-                fields = {}
-                for part in parts[1:]:
-                    key, _, value = part.partition("=")
-                    fields[key] = int(value)
-                if set(fields) != {"tb", "r", "framing"}:
-                    raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
-                handles.append(
-                    TwoHandle(tb=fields["tb"], r=fields["r"], framing=fields["framing"])
-                )
-            elif parts[0] == "lk" and len(parts) == 4:
-                i, j, value = int(parts[1]), int(parts[2]), int(parts[3])
-                if not 0 <= i < j:
-                    raise MalformedToken(f"line {lineno}: need 0 <= i < j")
-                links.append((i, j, value))
-            else:
+        if parts[0] == "1-handles" and len(parts) == 2:
+            if one_handles is not None:
+                raise MalformedToken(f"line {lineno}: duplicate 1-handles line")
+            one_handles = fronts._int_token(parts[1], lineno)
+        elif parts[0] == "handle" and len(parts) == 4:
+            fields = {}
+            for part in parts[1:]:
+                key, _, value = part.partition("=")
+                fields[key] = fronts._int_token(value, lineno)
+            if set(fields) != {"tb", "r", "framing"}:
                 raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
-        except ValueError:
-            raise MalformedToken(f"line {lineno}: {raw.strip()!r}") from None
+            handles.append(
+                TwoHandle(tb=fields["tb"], r=fields["r"], framing=fields["framing"])
+            )
+        elif parts[0] == "lk" and len(parts) == 4:
+            i, j, value = (fronts._int_token(t, lineno) for t in parts[1:])
+            if not 0 <= i < j:
+                raise MalformedToken(f"line {lineno}: need 0 <= i < j")
+            links.append((i, j, value))
+        else:
+            raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
     if one_handles is None:
         one_handles = 0
     k = len(handles)

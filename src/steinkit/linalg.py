@@ -1,117 +1,87 @@
-"""Exact linear algebra for small integer matrices.
+"""Exact invariants of a symmetric integer form, from one elimination.
 
-Determinants use Bareiss fraction-free elimination; signatures use
-symmetric congruence diagonalization over the rationals; linear solves use
-plain Gaussian elimination with ``fractions.Fraction``. Matrices here are
-linking matrices of handle diagrams, so sizes are tiny and exactness
-matters more than speed.
+``form(Q, v)`` runs one fraction-free symmetric Bareiss elimination of the
+bordered matrix ``[[Q, v], [v^T, 0]]``. Pivots come only from Q's indices:
+
+* a zero pivot is replaced by swapping in a nonzero diagonal entry;
+* if the remaining diagonal is all zero, an off-diagonal row and column
+  are added into the pivot's, which makes it twice that entry;
+* a row that is zero in what is left of Q is moved past the end and never
+  pivoted on; the form is then degenerate and det = 0.
+
+Each of these is a unimodular congruence, so det Q, the inertia of Q and
+``v^T Q^-1 v`` are preserved. After k pivots every entry left is a
+(k+1)-minor of the transformed bordered matrix, and the division by the
+previous pivot is exact (checked). The k-th pivot is the k-th leading
+minor d_k, so the k-th diagonal entry of Q's LDL^T has the sign of
+d_k * d_(k-1): that gives the signature. When all n pivots are taken, the
+last is det Q, and the border corner is the determinant of the whole
+bordered matrix, which by the Schur complement is ``-det Q * v^T Q^-1 v``.
+All arithmetic is on Python ints; the one division left is a ``Fraction``.
+Linking matrices of handle diagrams are small, so exactness matters more
+than speed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantViolation
 
-Matrix = list[list[int]]
 
-
-def determinant(matrix) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
+def form(matrix, vector) -> tuple[int, int, Fraction | None]:
+    """``(det Q, signature Q, v^T Q^-1 v)`` of a symmetric integer matrix
+    Q and an integer vector v; the last is None when det Q = 0."""
     n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
+    if len(vector) != n or any(
+        matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)
+    ):
+        raise InvariantViolation(
+            "form needs a symmetric matrix and a vector of matching size"
+        )
+    m = [list(row) + [v] for row, v in zip(matrix, vector)]
+    m.append(list(vector) + [0])
+    live = n  # Q's indices live..n-1 are zero rows moved past the end
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                value = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                assert value % prev == 0
-                m[i][j] = value // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def signature(matrix) -> int:
-    """Signature of a symmetric matrix by congruence diagonalization.
-
-    Pivots on a nonzero diagonal entry when one exists; otherwise, if some
-    off-diagonal entry among the remaining rows is nonzero, adds that row
-    and column into the pivot row to create a nonzero diagonal entry.
-    """
-    n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            assert m[i][j] == m[j][i], "matrix not symmetric"
     sig = 0
-    for k in range(n):
+    k = 0
+    while k < live:
         if m[k][k] == 0:
-            pivot = next(
-                (i for i in range(k + 1, n) if m[i][i] != 0), None
-            )
-            if pivot is not None:
-                _swap(m, k, pivot)
+            p = next((i for i in range(k + 1, live) if m[i][i]), None)
+            if p is None:
+                p = next((j for j in range(k + 1, live) if m[k][j]), None)
+                if p is None:
+                    live -= 1
+                    _swap(m, k, live)
+                    continue
+                for j in range(k, n + 1):
+                    m[k][j] += m[p][j]
+                for row in m[k:]:
+                    row[k] += row[p]
             else:
-                off = next(
-                    (j for j in range(k + 1, n) if m[k][j] != 0), None
-                )
-                if off is None:
-                    continue  # zero row: no contribution
-                # remaining diagonal is zero, so this makes m[k][k] = 2*m[k][off]
-                _add_into(m, k, off)
-        assert m[k][k] != 0
-        sig += 1 if m[k][k] > 0 else -1
-        for i in range(k + 1, n):
-            if m[i][k] == 0:
-                continue
-            factor = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-            for j in range(k, n):
-                m[j][i] -= factor * m[j][k]
-    return sig
+                _swap(m, k, p)
+        pivot = m[k][k]
+        sig += 1 if (pivot > 0) == (prev > 0) else -1
+        pivot_row = m[k]
+        for i in range(k + 1, n + 1):
+            row = m[i]
+            factor = row[k]
+            for j in range(i, n + 1):
+                value = row[j] * pivot - factor * pivot_row[j]
+                entry = value // prev
+                if entry * prev != value:
+                    raise InvariantViolation(
+                        f"Bareiss division {value} / {prev} is not exact"
+                    )
+                row[j] = m[j][i] = entry
+        prev = pivot
+        k += 1
+    if live < n:
+        return 0, sig, None
+    return prev, sig, Fraction(-m[n][n], prev)
 
 
 def _swap(m, a, b):
     m[a], m[b] = m[b], m[a]
     for row in m:
         row[a], row[b] = row[b], row[a]
-
-
-def _add_into(m, a, b):
-    for j in range(len(m)):
-        m[a][j] += m[b][j]
-    for row in m:
-        row[a] += row[b]
-
-
-def solve(matrix, rhs) -> list[Fraction] | None:
-    """Exact solution of matrix @ x = rhs, or None if singular."""
-    n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return None
-        m[k], m[pivot] = m[pivot], m[k]
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            if factor:
-                for j in range(k, n + 1):
-                    m[i][j] -= factor * m[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = acc / m[k][k]
-    return x

@@ -185,10 +185,9 @@ class TestAcceptance:
         for _ in range(100):
             diag = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
             m = [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
-            assert linalg.determinant(m) == math.prod(diag)
-            assert linalg.signature(m) == sum(
-                (d > 0) - (d < 0) for d in diag
-            )
+            det, sig, _ = linalg.form(m, [0] * len(diag))
+            assert det == math.prod(diag)
+            assert sig == sum((d > 0) - (d < 0) for d in diag)
         e8 = [
             [-2, 1, 0, 0, 0, 0, 0, 0],
             [1, -2, 1, 0, 0, 0, 0, 0],
@@ -199,8 +198,9 @@ class TestAcceptance:
             [0, 0, 0, 0, 0, 1, -2, 0],
             [0, 0, 0, 0, 1, 0, 0, -2],
         ]
-        assert linalg.determinant(e8) == 1
-        assert linalg.signature(e8) == -8
+        det, sig, _ = linalg.form(e8, [0] * 8)
+        assert det == 1
+        assert sig == -8
         # c1^2 == sigma (mod 8) for every unimodular form we can analyze
         unimodular_seen = 0
         for p, q in coprime_pairs(7):

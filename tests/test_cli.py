@@ -153,6 +153,25 @@ class TestFrontFiles:
         _, out, _ = run(capsys, "handlebody", "analyze", str(path))
         assert "det=-1" in out
         assert "theta_boundary=-6" in out
+        _, out, _ = run(capsys, "handlebody", "analyze", str(path), "--json")
+        assert out == (
+            '{"b2": 2, "c1_squared": {"den": 1, "num": 0}, "chi": 3, '
+            '"det": -1, "signature": 0, "theta_boundary": -6}\n'
+        )
+
+    def test_handlebody_analyze_empty_form(self, tmp_path, capsys):
+        """c1^2 of the empty form is the exact rational 0, like any other."""
+        path = tmp_path / "ball.kirby"
+        path.write_text("1-handles 0\n")
+        _, out, _ = run(capsys, "handlebody", "analyze", str(path))
+        assert out == (
+            "chi=1\nb2=0\ndet=1\nsignature=0\nc1_squared=0\ntheta_boundary=-2\n"
+        )
+        _, out, _ = run(capsys, "handlebody", "analyze", str(path), "--json")
+        assert out == (
+            '{"b2": 0, "c1_squared": {"den": 1, "num": 0}, "chi": 1, '
+            '"det": 1, "signature": 0, "theta_boundary": -2}\n'
+        )
 
 
 class TestExitCodes:
@@ -218,6 +237,22 @@ class TestTypedFailures:
         path = tmp_path / f"bad{suffix}"
         path.write_bytes(b"L 0\n\xff\xfe 1\nR 0\n")
         self.assert_typed(run_process(*command, str(path)), "MalformedToken")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "handle tb=1_0 r=0 framing=9",
+            "handle tb=1 r=+1 framing=0",
+            "handle tb=10 r=0 framing=\u0669",
+            "lk 0 1 " + "9" * 5000,
+        ],
+        ids=["underscore", "plus-sign", "arabic-indic-digit", "too-long"],
+    )
+    def test_kirby_integer_tokens(self, tmp_path, line):
+        path = tmp_path / "bad.kirby"
+        path.write_text(f"1-handles 0\n{line}\n", encoding="utf-8")
+        proc = run_process("handlebody", "analyze", str(path))
+        self.assert_typed(proc, "MalformedToken")
 
     def test_negative_stabilization_count(self):
         proc = run_process("torus-knot", "2", "3", "--stabilize=-1,0")

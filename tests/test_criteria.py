@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinkit import criteria, fronts
+from steinkit import brieskorn, criteria, fronts, handlebody
 from steinkit.criteria import HirzQuery
-from steinkit.errors import ExcludedCase
+from steinkit.errors import ExcludedCase, InvalidParams
 from steinkit.fronts import LegendrianInvariants, StabilizationSchedule
 
 
@@ -17,6 +17,23 @@ def coprime_pairs(bound):
         for q in range(p + 1, bound + 1):
             if math.gcd(p, q) == 1:
                 yield p, q
+
+
+@pytest.mark.parametrize("p,q", [(1, 3), (3, 3), (3, 2), (2, 4)])
+def test_torus_knot_params_checked_in_one_place(p, q):
+    """Every (p, q) taker rejects bad parameters through TorusKnotParams."""
+    with pytest.raises(InvalidParams) as want:
+        fronts.TorusKnotParams(p, q)
+    for call in (
+        lambda: brieskorn.SurgeryDescription(p, q, 1, 1),
+        lambda: brieskorn.sigma_closed_form(p, q, 1),
+        lambda: brieskorn.theta_closed_form(p, q, 1),
+        lambda: handlebody.nucleus(p, q, 2),
+        lambda: criteria.brieskorn_embed_plan(p, q, 1),
+    ):
+        with pytest.raises(InvalidParams) as got:
+            call()
+        assert str(got.value) == str(want.value)
 
 
 class TestHirz:

@@ -12,6 +12,7 @@ from steinkit.errors import (
     AsymmetricLinking,
     ExcludedCase,
     FramingMismatch,
+    InvariantViolation,
     MalformedToken,
     ParityViolation,
 )
@@ -39,30 +40,53 @@ def diagonal_data(*framings):
     return SteinKirbyData(0, handles, linking)
 
 
+def solve(matrix, rhs):
+    """Q^-1 r read off ``linalg.form`` by polarization, or None if det Q = 0:
+    x_i = ((e_i + r)^T Q^-1 (e_i + r) - e_i^T Q^-1 e_i - r^T Q^-1 r) / 2."""
+    det, _, rqr = linalg.form(matrix, rhs)
+    if det == 0:
+        return None
+    n = len(matrix)
+    x = []
+    for i in range(n):
+        e = [int(j == i) for j in range(n)]
+        both = linalg.form(matrix, [a + b for a, b in zip(e, rhs)])[2]
+        x.append((both - linalg.form(matrix, e)[2] - rqr) / 2)
+    return x
+
+
 class TestLinalg:
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
     def test_diagonal_oracle(self, diag):
         matrix = [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
-        assert linalg.determinant(matrix) == math.prod(diag)
-        assert linalg.signature(matrix) == sum(
-            1 if d > 0 else -1 if d < 0 else 0 for d in diag
-        )
+        det, sig, _ = linalg.form(matrix, [0] * len(diag))
+        assert det == math.prod(diag)
+        assert sig == sum(1 if d > 0 else -1 if d < 0 else 0 for d in diag)
 
     def test_e8(self):
-        assert linalg.determinant(E8) == 1
-        assert linalg.signature(E8) == -8
+        assert linalg.form(E8, [0] * 8) == (1, -8, 0)
 
     def test_hyperbolic_plane(self):
         h = [[0, 1], [1, 0]]
-        assert linalg.determinant(h) == -1
-        assert linalg.signature(h) == 0
+        assert linalg.form(h, [0, 0]) == (-1, 0, 0)
 
     def test_solve(self):
-        x = linalg.solve([[0, 1], [1, -2]], [3, 1])
+        x = solve([[0, 1], [1, -2]], [3, 1])
         assert x == [Fraction(7), Fraction(3)]
+        assert linalg.form([[0, 1], [1, -2]], [3, 1]) == (-1, 0, 3 * 7 + 1 * 3)
 
     def test_solve_singular(self):
-        assert linalg.solve([[1, 1], [1, 1]], [1, 0]) is None
+        assert solve([[1, 1], [1, 1]], [1, 0]) is None
+        assert linalg.form([[1, 1], [1, 1]], [1, 0]) == (0, 1, None)
+
+    def test_asymmetric_matrix(self):
+        with pytest.raises(InvariantViolation):
+            linalg.form([[0, 1], [2, 0]], [0, 0])
+
+    def test_inexact_division_raises(self):
+        # Only a non-integer entry can break Bareiss exactness.
+        with pytest.raises(InvariantViolation):
+            linalg.form([[Fraction(1, 2), 1], [1, 1]], [0, 0])
 
     @given(
         st.integers(1, 4).flatmap(
@@ -76,8 +100,8 @@ class TestLinalg:
         n = len(rows)
         m = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
         reversed_m = [[m[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-        assert linalg.signature(m) == linalg.signature(reversed_m)
-        assert linalg.determinant(m) == linalg.determinant(reversed_m)
+        v = list(range(1, n + 1))
+        assert linalg.form(m, v) == linalg.form(reversed_m, v[::-1])
 
 
 class TestValidation:
@@ -147,6 +171,12 @@ class TestAnalyze:
         assert analysis.c1_squared == 0
         assert (analysis.c1_squared - analysis.signature) % 8 == 0
 
+    @pytest.mark.parametrize("c1_squared", [Fraction(1, 2), Fraction(4)])
+    def test_cross_checks_raise(self, monkeypatch, c1_squared):
+        monkeypatch.setattr(linalg, "form", lambda q, v: (1, 0, c1_squared))
+        with pytest.raises(InvariantViolation):
+            handlebody.analyze(diagonal_data(-1))
+
     def test_degenerate_form_omits_optional_fields(self):
         analysis = handlebody.analyze(diagonal_data(0))
         assert analysis.det == 0
@@ -212,3 +242,16 @@ class TestKirbyFiles:
             handlebody.parse_kirby("handle tb=1 r=0\n")
         with pytest.raises(MalformedToken):
             handlebody.parse_kirby("1-handles 0\nlk 1 0 1\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "handle tb=1_0 r=0 framing=9",
+            "handle tb=1 r=+1 framing=0",
+            "handle tb=10 r=0 framing=\u0669",
+            "1-handles " + "9" * 5000,
+        ],
+    )
+    def test_integers_are_ascii_digits(self, line):
+        with pytest.raises(MalformedToken):
+            handlebody.parse_kirby(line + "\n")

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import fronts
+from steinkit import fronts, handlebody, linalg
 from steinkit.fronts import FrontDiagram
 
 import trace_oracle
@@ -51,6 +52,10 @@ def test_agreement_under_optimize():
     assert proc.stdout.split() == ["optimized=True", "agreed=300"]
 
 
-def test_no_assert_in_fronts():
-    tree = ast.parse(Path(fronts.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize(
+    "module", [fronts, linalg, handlebody], ids=lambda m: m.__name__.split(".")[-1]
+)
+def test_no_assert(module):
+    """Cross-checks in these modules raise, so ``python -O`` keeps them."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
