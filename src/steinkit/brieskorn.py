@@ -1,8 +1,9 @@
 """Brieskorn homology spheres and Milnor fiber invariants.
 
 Everything here is exact integer arithmetic: the lattice-point signature
-count uses only integer comparisons, and the closed forms assert exact
-divisibility.
+count uses only integer comparisons, and the closed forms check exact
+divisibility. A failed cross-check raises ``InvariantViolation``, so
+``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -10,12 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateThirdMultiplicity,
-    InternalIntegralSum,
-    InvalidParams,
-    NonIntegralResult,
-)
+from .errors import DegenerateThirdMultiplicity, InvalidParams, InvariantViolation
 from .fronts import TorusKnotParams
 
 
@@ -32,9 +28,6 @@ class BrieskornTriple:
         for a, b in ((self.p1, self.p2), (self.p1, self.p3), (self.p2, self.p3)):
             if math.gcd(a, b) != 1:
                 raise InvalidParams(f"multiplicities {ps} not pairwise coprime")
-
-    def sorted(self) -> "BrieskornTriple":
-        return BrieskornTriple(*sorted((self.p1, self.p2, self.p3)))
 
 
 @dataclass(frozen=True)
@@ -108,14 +101,16 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
     for q1 in _min_abs_residues(pow(p2 * p3, -1, p1), p1):
         for q2 in _min_abs_residues(pow(p1 * p3, -1, p2), p2):
             remainder = 1 - q1 * p2 * p3 - q2 * p1 * p3
-            assert remainder % (p1 * p2) == 0
+            if remainder % (p1 * p2) != 0:
+                raise InvariantViolation(f"{remainder} not divisible by {p1 * p2}")
             solutions.append((q1, q2, remainder // (p1 * p2)))
     best = min(
         solutions,
         key=lambda s: (abs(s[0]), s[0] < 0, abs(s[1]), s[1] < 0, abs(s[2]), s[2] < 0),
     )
     out = SeifertData(*best)
-    assert out.q1 * p2 * p3 + p1 * out.q2 * p3 + p1 * p2 * out.q3 == 1
+    if out.q1 * p2 * p3 + p1 * out.q2 * p3 + p1 * p2 * out.q3 != 1:
+        raise InvariantViolation(f"Seifert data {out} of {t} does not sum to 1")
     return out
 
 
@@ -151,7 +146,7 @@ def sigma_lattice(t: BrieskornTriple) -> int:
             for x3 in range(1, p3):
                 total = t12 + x3 * a12
                 if total % total_volume == 0:
-                    raise InternalIntegralSum(
+                    raise InvariantViolation(
                         f"T = {total} divisible by {total_volume} at "
                         f"({x1}, {x2}, {x3})"
                     )
@@ -167,23 +162,25 @@ def sigma_closed_form(p: int, q: int, n: int) -> int:
     _check_pqn(p, q, n)
     numerator = -n * (p * p - 1) * (q * q - 1)
     if numerator % 3 != 0:
-        raise NonIntegralResult(f"{numerator} not divisible by 3")
+        raise InvariantViolation(f"{numerator} not divisible by 3")
     return numerator // 3
 
 
 def theta_closed_form(p: int, q: int, n: int) -> int:
-    """Plane-field invariant (p-1)(q-1)(4 - n(pq-p-q-1)) - 2 of the
-    (p, q, npq-1) Milnor fiber boundary."""
-    _check_pqn(p, q, n)
-    value = (p - 1) * (q - 1) * (4 - n * (p * q - p - q - 1)) - 2
-    assert value % 4 == 2
+    """Plane-field invariant 2l(4 - n(2l - 2)) - 2 of the (p, q, npq-1)
+    Milnor fiber boundary, where 2l = (p-1)(q-1), so 2l - 2 = pq-p-q-1."""
+    two_l = 2 * _check_pqn(p, q, n).l
+    value = two_l * (4 - n * (two_l - 2)) - 2
+    if value % 4 != 2:
+        raise InvariantViolation(f"theta {value} of ({p}, {q}, {n}) is not 2 mod 4")
     return value
 
 
-def _check_pqn(p: int, q: int, n: int) -> None:
-    TorusKnotParams(p, q)
+def _check_pqn(p: int, q: int, n: int) -> TorusKnotParams:
+    params = TorusKnotParams(p, q)
     if n < 1:
         raise InvalidParams(f"n must be positive, got {n}")
+    return params
 
 
 def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
@@ -196,13 +193,18 @@ def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
     chi = b2 + 1
     sigma = sigma_lattice(t)
     theta = -2 * chi - 3 * sigma
-    p, q, third = t.sorted().p1, t.sorted().p2, t.sorted().p3
+    p, q, third = sorted((t.p1, t.p2, t.p3))
     if (third + 1) % (p * q) == 0:
         n = (third + 1) // (p * q)
-        assert sigma == sigma_closed_form(p, q, n)
-        assert theta == theta_closed_form(p, q, n)
-    assert abs(sigma) <= b2
-    assert theta % 4 == 2
+        closed = (sigma_closed_form(p, q, n), theta_closed_form(p, q, n))
+        if (sigma, theta) != closed:
+            raise InvariantViolation(
+                f"{t}: (sigma, theta) = {(sigma, theta)}, closed forms give {closed}"
+            )
+    if abs(sigma) > b2:
+        raise InvariantViolation(f"{t}: |sigma| = {abs(sigma)} exceeds b2 = {b2}")
+    if theta % 4 != 2:
+        raise InvariantViolation(f"{t}: theta {theta} is not 2 mod 4")
     return MilnorInvariants(b2=b2, chi=chi, sigma=sigma, theta_boundary=theta)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brieskorn import BrieskornTriple, OrientedBrieskorn, milnor_invariants
-from .errors import ExcludedCase, InvalidParams
+from .errors import ExcludedCase, InvalidParams, InvariantViolation
 from .fronts import (
     LegendrianInvariants,
     StabilizationSchedule,
@@ -102,8 +102,10 @@ def brieskorn_embed_plan(p: int, q: int, eps: int) -> EmbedPlan:
         target = LegendrianInvariants(tb=2, r=3)
         framing = 1
         boundary_sign = -1
-    assert stabilize_invariants(source, schedule) == target
-    assert framing == target.tb - 1
+    if stabilize_invariants(source, schedule) != target:
+        raise InvariantViolation(f"{schedule} does not take {source} to {target}")
+    if framing != target.tb - 1:
+        raise InvariantViolation(f"framing {framing} is not tb - 1 of {target}")
     return EmbedPlan(
         source=source,
         target=target,

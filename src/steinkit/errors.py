@@ -44,10 +44,6 @@ class SameComponent(DomainError):
     pass
 
 
-class OddInterCrossingCount(DomainError):
-    """Internal consistency bug: signed inter-component count must be even."""
-
-
 class InvalidInsertionPoint(DomainError):
     pass
 
@@ -60,14 +56,6 @@ class InvalidParams(DomainError):
 
 class DegenerateThirdMultiplicity(DomainError):
     pass
-
-
-class InternalIntegralSum(DomainError):
-    """Internal consistency bug: lattice sum divisible by p1*p2*p3."""
-
-
-class NonIntegralResult(DomainError):
-    """Internal consistency bug: closed-form division not exact."""
 
 
 # handlebodies

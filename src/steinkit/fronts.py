@@ -44,7 +44,6 @@ from .errors import (
     InvalidPosition,
     InvariantViolation,
     MalformedToken,
-    OddInterCrossingCount,
     SameComponent,
     UnbalancedDiagram,
 )
@@ -279,7 +278,7 @@ class _Threads:
             for j in range(i + 1, k):
                 lk2 = signed[i][j] + signed[j][i]
                 if lk2 % 2 != 0:
-                    raise OddInterCrossingCount(
+                    raise InvariantViolation(
                         f"odd inter-component crossing count {lk2}"
                     )
                 self.linking[i][j] = self.linking[j][i] = lk2 // 2

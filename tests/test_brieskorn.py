@@ -16,7 +16,7 @@ from steinkit.brieskorn import (
     surgery_to_brieskorn,
     theta_closed_form,
 )
-from steinkit.errors import InvalidParams
+from steinkit.errors import InvalidParams, InvariantViolation
 
 
 def coprime_pairs(bound):
@@ -145,6 +145,23 @@ class TestMilnorInvariants:
         for triple in [(2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5), (2, 3, 13)]:
             theta = brieskorn.milnor_invariants(BrieskornTriple(*triple)).theta_boundary
             assert theta % 4 == 2
+
+    @pytest.mark.parametrize(
+        "triple,shift",
+        [((2, 5, 7), 100), ((2, 3, 5), -8), ((2, 5, 7), 1)],
+        ids=["sigma-above-b2", "closed-form", "theta-mod-4"],
+    )
+    def test_cross_checks_raise(self, monkeypatch, triple, shift):
+        """A wrong lattice count is an internal fault, not bad input."""
+        count = brieskorn.sigma_lattice
+        monkeypatch.setattr(brieskorn, "sigma_lattice", lambda t: count(t) + shift)
+        with pytest.raises(InvariantViolation):
+            brieskorn.milnor_invariants(BrieskornTriple(*triple))
+
+    def test_seifert_cross_check_raises(self, monkeypatch):
+        monkeypatch.setattr(brieskorn, "_min_abs_residues", lambda r, m: [r % m + 1])
+        with pytest.raises(InvariantViolation):
+            seifert_data(BrieskornTriple(2, 3, 7))
 
 
 class TestCassonHarer:

@@ -188,6 +188,16 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("FramingMismatch")
 
+    def test_invariant_violation(self, monkeypatch, capsys):
+        from steinkit import brieskorn
+
+        count = brieskorn.sigma_lattice
+        monkeypatch.setattr(brieskorn, "sigma_lattice", lambda t: count(t) - 8)
+        code, out, err = run(capsys, "brieskorn", "invariants", "2", "3", "5")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("InvariantViolation: ") and len(err.splitlines()) == 1
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["brieskorn", "invariants", "2", "3"])

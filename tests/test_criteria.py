@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from steinkit import brieskorn, criteria, fronts, handlebody
 from steinkit.criteria import HirzQuery
-from steinkit.errors import ExcludedCase, InvalidParams
+from steinkit.errors import ExcludedCase, InvalidParams, InvariantViolation
 from steinkit.fronts import LegendrianInvariants, StabilizationSchedule
 
 
@@ -93,6 +93,13 @@ class TestEmbedPlan:
                 plan = criteria.brieskorn_embed_plan(p, q, -1)
                 assert fronts.stabilize_invariants(plan.source, plan.schedule) == plan.target
                 assert plan.framing == plan.target.tb - 1
+
+    def test_schedule_cross_check_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            criteria, "stabilize_invariants", lambda inv, s: LegendrianInvariants(9, 9)
+        )
+        with pytest.raises(InvariantViolation):
+            criteria.brieskorn_embed_plan(2, 3, 1)
 
 
 class TestPropTheta:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import fronts, handlebody, linalg
+from steinkit import brieskorn, criteria, fronts, handlebody, linalg
 from steinkit.fronts import FrontDiagram
 
 import trace_oracle
@@ -53,7 +53,9 @@ def test_agreement_under_optimize():
 
 
 @pytest.mark.parametrize(
-    "module", [fronts, linalg, handlebody], ids=lambda m: m.__name__.split(".")[-1]
+    "module",
+    [fronts, linalg, handlebody, brieskorn, criteria],
+    ids=lambda m: m.__name__.split(".")[-1],
 )
 def test_no_assert(module):
     """Cross-checks in these modules raise, so ``python -O`` keeps them."""
