@@ -1,7 +1,8 @@
 """Brieskorn homology spheres and Milnor fiber invariants.
 
 Everything here is exact integer arithmetic: the lattice-point signature
-count uses only integer comparisons, and the closed forms check exact
+count takes one interval of points per (x1, x2) by floor division, within
+a work budget of ``WORK_BUDGET`` steps, and the closed forms check exact
 divisibility. A failed cross-check raises ``InvariantViolation``, so
 ``python -O`` keeps them.
 """
@@ -11,8 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateThirdMultiplicity, InvalidParams, InvariantViolation
+from .errors import (
+    DegenerateThirdMultiplicity, InvalidParams, InvariantViolation, WorkBudgetExceeded,
+)
 from .fronts import TorusKnotParams
+
+# Most (x1, x2) steps ``sigma_lattice`` takes, that is (p1-1)*(p2-1) of the
+# two smallest multiplicities: under a second of pure Python.
+WORK_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -127,34 +134,42 @@ def surgery_to_brieskorn(s: SurgeryDescription) -> OrientedBrieskorn:
 
 
 def sigma_lattice(t: BrieskornTriple) -> int:
-    """Signature of the Milnor fiber by signed lattice-point count.
+    """Signature of the Milnor fiber by Brieskorn's lattice-point count.
 
     Over integer points 0 < x_i < p_i, with T = x1*p2*p3 + x2*p1*p3 +
     x3*p1*p2 and A = p1*p2*p3: points with T in (0, A) or (2A, 3A) count
-    +1, points with T in (A, 2A) count -1. T is never a multiple of A.
+    +1, points with T in (A, 2A) count -1, so sigma = b2 - 2*#negative.
+    T is never a multiple of A. With p3 the largest multiplicity, the x3
+    with T in (A, 2A) form an interval for each (x1, x2), counted by two
+    floor divisions: (p1-1)*(p2-1) steps, at most ``WORK_BUDGET``.
     """
-    p1, p2, p3 = t.p1, t.p2, t.p3
+    p1, p2, p3 = sorted((t.p1, t.p2, t.p3))
+    steps = (p1 - 1) * (p2 - 1)
+    if steps > WORK_BUDGET:
+        raise WorkBudgetExceeded(f"signature of {(p1, p2, p3)} needs {steps} steps, over {WORK_BUDGET}")
     a23 = p2 * p3
     a13 = p1 * p3
     a12 = p1 * p2
-    total_volume = p1 * p2 * p3
-    positive = negative = 0
+    total_volume = a12 * p3
+    negative = 0
     for x1 in range(1, p1):
         t1 = x1 * a23
         for x2 in range(1, p2):
             t12 = t1 + x2 * a13
-            for x3 in range(1, p3):
-                total = t12 + x3 * a12
-                if total % total_volume == 0:
-                    raise InvariantViolation(
-                        f"T = {total} divisible by {total_volume} at "
-                        f"({x1}, {x2}, {x3})"
-                    )
-                if total_volume < total < 2 * total_volume:
-                    negative += 1
-                else:
-                    positive += 1
-    return positive - negative
+            # T = A*(x1/p1 + x2/p2 + x3/p3) is a multiple of A for some x3
+            # exactly when a12 | t12 and x3 = -t12/a12 mod p3 is not 0
+            if t12 % a12 == 0 and (t12 // a12) % p3 != 0:
+                x3 = -(t12 // a12) % p3
+                raise InvariantViolation(
+                    f"T = {t12 + x3 * a12} divisible by {total_volume} at "
+                    f"({x1}, {x2}, {x3}) of {(p1, p2, p3)}"
+                )
+            # A < t12 + x3*a12 < 2A for lo <= x3 <= hi
+            lo = max(1, (total_volume - t12) // a12 + 1)
+            hi = min(p3 - 1, (2 * total_volume - t12 - 1) // a12)
+            if hi >= lo:
+                negative += hi - lo + 1
+    return steps * (p3 - 1) - 2 * negative
 
 
 def sigma_closed_form(p: int, q: int, n: int) -> int:
@@ -192,7 +207,10 @@ def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
     b2 = (t.p1 - 1) * (t.p2 - 1) * (t.p3 - 1)
     chi = b2 + 1
     sigma = sigma_lattice(t)
-    theta = -2 * chi - 3 * sigma
+    # The fiber lies in a hypersurface of C^3, whose normal bundle is
+    # trivial, so its tangent bundle is stably trivial and c1 = 0.
+    c1 = 0
+    theta = c1 * c1 - 3 * sigma - 2 * chi
     p, q, third = sorted((t.p1, t.p2, t.p3))
     if (third + 1) % (p * q) == 0:
         n = (third + 1) // (p * q)
@@ -205,7 +223,7 @@ def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
         raise InvariantViolation(f"{t}: |sigma| = {abs(sigma)} exceeds b2 = {b2}")
     if theta % 4 != 2:
         raise InvariantViolation(f"{t}: theta {theta} is not 2 mod 4")
-    return MilnorInvariants(b2=b2, chi=chi, sigma=sigma, theta_boundary=theta)
+    return MilnorInvariants(b2=b2, chi=chi, sigma=sigma, theta_boundary=theta, c1=c1)
 
 
 def casson_harer_families(p_max: int, n_max: int) -> list[BrieskornTriple]:

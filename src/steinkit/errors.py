@@ -58,6 +58,10 @@ class DegenerateThirdMultiplicity(DomainError):
     pass
 
 
+class WorkBudgetExceeded(DomainError):
+    pass
+
+
 # handlebodies
 
 class FramingMismatch(DomainError):

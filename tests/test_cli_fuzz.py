@@ -1,19 +1,25 @@
-"""Fuzz the file-reading subcommands: every input ends in a typed exit.
+"""Fuzz the CLI: every input ends in a typed exit.
 
 Arbitrary bytes, and text built from the formats' own tokens, go into the
 file of ``front stats``, ``front stabilize`` and ``handlebody analyze``,
-with arbitrary ints for ``--component`` and ``--at``. Each run must exit
-0, 1 or 2, print at most one stderr line on exits 0 and 1, and never
-raise out of ``main`` or print a traceback. ``torus-knot`` and ``nucleus``
-are left out: their work grows with p*q, so arbitrary ints would not
-finish.
+with arbitrary ints for ``--component`` and ``--at``; arbitrary ints go on
+the argv of ``brieskorn invariants``, ``seifert`` and ``surgery`` and of
+``check prop-theta``, whose lattice count stops at its work budget. Each
+run must exit 0, 1 or 2, print at most one stderr line on exits 0 and 1,
+and never raise out of ``main`` or print a traceback. ``torus-knot`` and
+``nucleus`` are left out: their work grows with p*q and has no budget, so
+arbitrary ints would not finish.
 """
 
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +74,19 @@ ARGS = st.one_of(
 )
 
 
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    if code in (0, 1):
+        assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+
+
 @settings(max_examples=400, deadline=None)
 @given(content=CONTENT, args=ARGS, as_json=st.booleans())
 def test_typed_exit(content, args, as_json):
@@ -75,14 +94,54 @@ def test_typed_exit(content, args, as_json):
         path = os.path.join(tmp, "input")
         with open(path, "wb") as fh:
             fh.write(content)
-        argv = [*args[:2], path, *args[2:], *(["--json"] if as_json else [])]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    assert code in (0, 1, 2), err.getvalue()
-    if code in (0, 1):
-        assert len(err.getvalue().splitlines()) <= 1
-    assert "Traceback" not in err.getvalue()
+        run_main([*args[:2], path, *args[2:], *(["--json"] if as_json else [])])
+
+
+# Distinct primes make valid triples and (p, q) pairs; two of 1009, 1013 and
+# 1019, or two Mersenne primes, put the lattice count over its budget.
+PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 23, 101, 1009, 1013, 1019, 2**61 - 1, 2**127 - 1])
+ANY_INT = st.one_of(st.integers(-2, 40), st.integers(), PRIME)
+PAIR = st.one_of(st.tuples(PRIME, PRIME), st.tuples(ANY_INT, ANY_INT))
+SIGN = st.sampled_from(["+", "-", "+1", "-1", "0", "x"])
+EPS = st.sampled_from([1, -1, 0, 2**70])
+ARGV = st.one_of(
+    st.tuples(st.sampled_from([["brieskorn", "invariants"], ["brieskorn", "seifert"]]),
+              PAIR, st.tuples(st.one_of(PRIME, ANY_INT))),
+    st.tuples(st.just(["brieskorn", "surgery"]), PAIR, st.tuples(ANY_INT, SIGN)),
+    st.tuples(st.just(["check", "prop-theta"]), PAIR, st.tuples(EPS)),
+).map(lambda t: [*t[0], *map(str, t[1] + t[2])])
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=ARGV, as_json=st.booleans())
+def test_typed_exit_on_argv_ints(argv, as_json):
+    run_main([*argv, *(["--json"] if as_json else [])])
+
+
+def run_process(*argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "steinkit.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=30,
+    )
+
+
+@pytest.mark.parametrize(
+    "triple,code,line",
+    [
+        ((97, 101, 10001), 0, "sigma=-32653256"),
+        ((97, 101, 97969), 0, "sigma=-319872000"),
+        ((1009, 1013, 1019), 1, "WorkBudgetExceeded: "),
+    ],
+    ids=["generic", "n=10", "over-budget"],
+)
+def test_large_triples_end_typed(triple, code, line):
+    """97 * 101 * 10 - 1 = 97969, so n=10 runs the closed-form check."""
+    proc = run_process("brieskorn", "invariants", *map(str, triple))
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == "" and line in proc.stdout.splitlines()
+    else:
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(line)
