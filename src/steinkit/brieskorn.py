@@ -1,10 +1,20 @@
 """Brieskorn homology spheres and Milnor fiber invariants.
 
-Everything here is exact integer arithmetic: the lattice-point signature
-count takes one interval of points per (x1, x2) by floor division, within
-a work budget of ``WORK_BUDGET`` steps, and the closed forms check exact
-divisibility. A failed cross-check raises ``InvariantViolation``, so
-``python -O`` keeps them.
+Everything here is exact integer arithmetic. The Milnor fiber signature
+of Sigma(p, q, r) is 8 times its Casson invariant, which Neumann and Wahl
+(1990) give in Dedekind sums. With a = pqr and D(h, k) = 12k*s(h, k), an
+integer,
+
+    3a*sigma = 1 - a^2 - 3a + p^2q^2 + q^2r^2 + p^2r^2
+               - qr*D(qr, p) - pr*D(pr, q) - pq*D(pq, r).
+
+Each D(h, k) is read off the continued fraction h/k = [0; a1, ..., an]
+in one Euclid pass (Hickerson, 1977), so sigma costs O(log pqr) integer
+steps and needs no work budget. Two lattice-point counts, Brieskorn's
+triple loop and one interval of x3 per (x1, x2), are its test oracles.
+The division by 3a and the closed forms check exact divisibility; a
+failed cross-check raises ``InvariantViolation``, so ``python -O`` keeps
+them.
 """
 
 from __future__ import annotations
@@ -12,14 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateThirdMultiplicity, InvalidParams, InvariantViolation, WorkBudgetExceeded,
-)
+from .errors import DegenerateThirdMultiplicity, InvalidParams, InvariantViolation
 from .fronts import TorusKnotParams
-
-# Most (x1, x2) steps ``sigma_lattice`` takes, that is (p1-1)*(p2-1) of the
-# two smallest multiplicities: under a second of pure Python.
-WORK_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -133,43 +137,50 @@ def surgery_to_brieskorn(s: SurgeryDescription) -> OrientedBrieskorn:
     )
 
 
-def sigma_lattice(t: BrieskornTriple) -> int:
-    """Signature of the Milnor fiber by Brieskorn's lattice-point count.
+def _dedekind(h: int, k: int) -> int:
+    """D(h, k) = 12k*s(h, k) for coprime h and k >= 1.
 
-    Over integer points 0 < x_i < p_i, with T = x1*p2*p3 + x2*p1*p3 +
-    x3*p1*p2 and A = p1*p2*p3: points with T in (0, A) or (2A, 3A) count
-    +1, points with T in (A, 2A) count -1, so sigma = b2 - 2*#negative.
-    T is never a multiple of A. With p3 the largest multiplicity, the x3
-    with T in (A, 2A) form an interval for each (x1, x2), counted by two
-    floor divisions: (p1-1)*(p2-1) steps, at most ``WORK_BUDGET``.
+    With h reduced mod k and h/k = [0; a1, ..., an] by Euclid's algorithm,
+    D = k*(a1 - a2 + a3 - ...) + h + h' - k*(1 if n is even else 3),
+    where h*h' = 1 mod k and 0 < h' < k; D(h, 1) = 0.
     """
-    p1, p2, p3 = sorted((t.p1, t.p2, t.p3))
-    steps = (p1 - 1) * (p2 - 1)
-    if steps > WORK_BUDGET:
-        raise WorkBudgetExceeded(f"signature of {(p1, p2, p3)} needs {steps} steps, over {WORK_BUDGET}")
-    a23 = p2 * p3
-    a13 = p1 * p3
-    a12 = p1 * p2
-    total_volume = a12 * p3
-    negative = 0
-    for x1 in range(1, p1):
-        t1 = x1 * a23
-        for x2 in range(1, p2):
-            t12 = t1 + x2 * a13
-            # T = A*(x1/p1 + x2/p2 + x3/p3) is a multiple of A for some x3
-            # exactly when a12 | t12 and x3 = -t12/a12 mod p3 is not 0
-            if t12 % a12 == 0 and (t12 // a12) % p3 != 0:
-                x3 = -(t12 // a12) % p3
-                raise InvariantViolation(
-                    f"T = {t12 + x3 * a12} divisible by {total_volume} at "
-                    f"({x1}, {x2}, {x3}) of {(p1, p2, p3)}"
-                )
-            # A < t12 + x3*a12 < 2A for lo <= x3 <= hi
-            lo = max(1, (total_volume - t12) // a12 + 1)
-            hi = min(p3 - 1, (2 * total_volume - t12 - 1) // a12)
-            if hi >= lo:
-                negative += hi - lo + 1
-    return steps * (p3 - 1) - 2 * negative
+    h %= k
+    if k == 1:
+        return 0
+    inverse = pow(h, -1, k)
+    alternating, sign = 0, 1
+    num, den = k, h
+    while den:
+        quotient, rem = divmod(num, den)
+        alternating += sign * quotient
+        sign = -sign
+        num, den = den, rem
+    # sign is back to +1 exactly when n is even
+    return k * alternating + h + inverse - k * (1 if sign == 1 else 3)
+
+
+def sigma_lattice(t: BrieskornTriple) -> int:
+    """Signature of the Milnor fiber, exactly, from three Dedekind sums.
+
+    It equals Brieskorn's lattice-point count: over integer points
+    0 < x_i < p_i, with T = x1*p2*p3 + x2*p1*p3 + x3*p1*p2 and
+    A = p1*p2*p3, points with T in (0, A) or (2A, 3A) count +1 and points
+    with T in (A, 2A) count -1. The count is the test oracle; here sigma
+    comes from the module's Dedekind-sum formula in O(log A) steps.
+    """
+    p, q, r = t.p1, t.p2, t.p3
+    for x, y in ((p, q), (p, r), (q, r)):
+        if math.gcd(x, y) != 1:
+            raise InvariantViolation(f"{(p, q, r)} is not pairwise coprime")
+    a = p * q * r
+    pq, pr, qr = p * q, p * r, q * r
+    numerator = (
+        1 - a * a - 3 * a + pq * pq + qr * qr + pr * pr
+        - qr * _dedekind(qr, p) - pr * _dedekind(pr, q) - pq * _dedekind(pq, r)
+    )
+    if numerator % (3 * a) != 0:
+        raise InvariantViolation(f"3a*sigma of {(p, q, r)} is not divisible by 3a")
+    return numerator // (3 * a)
 
 
 def sigma_closed_form(p: int, q: int, n: int) -> int:
@@ -202,7 +213,8 @@ def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
     """b2, chi, sigma and boundary theta of the Milnor fiber of ``t``.
 
     When the triple has the form (p, q, npq - 1), sigma and theta are
-    cross-checked against the closed forms.
+    cross-checked against the closed forms; sigma is also checked against
+    |sigma| <= b2, and theta against theta = 2 mod 4.
     """
     b2 = (t.p1 - 1) * (t.p2 - 1) * (t.p3 - 1)
     chi = b2 + 1

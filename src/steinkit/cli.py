@@ -12,6 +12,10 @@ argument parser from that registry. One renderer prints every payload:
   as ``(a, b)``; a list of dicts prints one ``k=v k=v`` line per row.
 
 A subcommand whose table has another shape returns ``(payload, lines)``.
+Only the renderer lifts Python's 4,300-digit limit on int-to-str
+conversion, so lines that can hold a big result are left for it to
+format: they are lazy iterables such as ``_table``'s, and an object such
+as an ``OrientedBrieskorn`` prints through ``str`` when it is rendered.
 
 Exit codes: 0 on success, 1 on domain errors (typed error name on stderr),
 2 on usage errors, 3 on a failed internal cross-check (``InvariantViolation``).
@@ -20,6 +24,7 @@ Exit codes: 0 on success, 1 on domain errors (typed error name on stderr),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -27,7 +32,14 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import brieskorn, criteria, fronts, handlebody
-from .errors import DomainError, ExcludedCase, InvariantViolation, MalformedToken
+from .errors import (
+    DomainError, ExcludedCase, InvariantViolation, MalformedToken, WorkBudgetExceeded,
+)
+
+# Most rows ``brieskorn sigma-sweep`` may emit, bounded before any work by
+# pmax*(pmax-1)/2*nmax: each row costs O(log pqn), so this is about two
+# seconds of pure Python.
+WORK_BUDGET = 10**5
 
 # "name" or "group name" -> (function, arguments), in registration order
 COMMANDS: dict[str, tuple] = {}
@@ -61,7 +73,7 @@ def _canonical(value):
 
 
 def emit_json(result) -> str:
-    return json.dumps(_canonical(result), sort_keys=True)
+    return json.dumps(_canonical(result), sort_keys=True, default=str)
 
 
 def _format(value) -> str:
@@ -80,14 +92,13 @@ def _row(values: dict) -> str:
     return " ".join(f"{k}={_format(v)}" for k, v in values.items())
 
 
-def _table(payload: dict) -> list[str]:
-    lines = []
+def _table(payload: dict):
+    """The table lines of a payload, formatted lazily (see the module doc)."""
     for key, value in payload.items():
         if isinstance(value, list) and all(isinstance(v, dict) for v in value):
-            lines.extend(map(_row, value))
+            yield from map(_row, value)
         else:
-            lines.append(f"{key}={_format(value)}")
-    return lines
+            yield f"{key}={_format(value)}"
 
 
 def _fields(obj) -> dict:
@@ -95,7 +106,7 @@ def _fields(obj) -> dict:
     return {k: v for k, v in asdict(obj).items() if v is not None}
 
 
-def _schedule_table(payload: dict) -> list[str]:
+def _schedule_table(payload: dict):
     """The table shows a stabilization schedule as the pair (up, down)."""
     s = payload.get("schedule")
     return _table(payload if s is None else {**payload, "schedule": (s["up"], s["down"])})
@@ -195,11 +206,16 @@ def _brieskorn_surgery(args):
     result = brieskorn.surgery_to_brieskorn(
         brieskorn.SurgeryDescription(p=args.p, q=args.q, n=args.n, sign=sign)
     )
-    return {"sign": result.sign, **asdict(result.triple)}, [str(result)]
+    return {"sign": result.sign, **asdict(result.triple)}, [result]
 
 
 @command("brieskorn sigma-sweep", "--pmax", "--nmax")
 def _sigma_sweep(args):
+    pmax, nmax = max(args.pmax, 0), max(args.nmax, 0)
+    if pmax * (pmax - 1) // 2 * nmax > WORK_BUDGET:
+        raise WorkBudgetExceeded(
+            f"--pmax {args.pmax} --nmax {args.nmax} may emit over {WORK_BUDGET} rows"
+        )
     rows = []
     for p, q in _coprime_pairs(args.pmax):
         for n in range(1, args.nmax + 1):
@@ -227,13 +243,13 @@ def _handlebody_analyze(args):
 def _nucleus(args):
     data = handlebody.nucleus(args.p, args.q, args.n)
     analysis = _fields(handlebody.analyze(data.kirby))
-    head = {**_fields(data), "boundary": str(data.boundary)}
+    head = {**_fields(data), "boundary": data.boundary}
     kirby = head.pop("kirby")
     handles = kirby["two_handles"]
     payload = {**head, "handles": handles, "linking": kirby["linking"], "analysis": analysis}
-    return payload, [
-        *_table(head), *(f"handle {_row(h)}" for h in handles), *_table(analysis)
-    ]
+    return payload, itertools.chain(
+        _table(head), (f"handle {_row(h)}" for h in handles), _table(analysis)
+    )
 
 
 @command("check hirz", "--tb", "--r", "--n", "--m")
@@ -251,7 +267,7 @@ def _check_embed(args):
         "schedule": asdict(plan.schedule),
         "target": asdict(plan.target),
         "framing": plan.framing,
-        "boundary": str(plan.boundary),
+        "boundary": plan.boundary,
         "split_forms": plan.split_forms,
     }
     return payload, _schedule_table({**payload, "split_forms": " ".join(plan.split_forms)})
@@ -356,11 +372,18 @@ def main(argv=None) -> int:
         print(f"InvariantViolation: {exc}", file=sys.stderr)
         return 3
     payload, lines = result if isinstance(result, tuple) else (result, None)
-    if args.json:
-        print(emit_json(payload))
-    else:
-        for line in _table(payload) if lines is None else lines:
-            print(line)
+    # Inputs stay under the 4,300-digit limit on int(), but an exact result,
+    # a polynomial in them, may not; the limit is lifted only to print it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(emit_json(payload))
+        else:
+            for line in _table(payload) if lines is None else lines:
+                print(line)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -1,15 +1,17 @@
-"""The triple loop ``brieskorn.sigma_lattice`` used before the interval
-count, kept as its oracle.
+"""The two lattice-point counts ``brieskorn.sigma_lattice`` used before
+the Dedekind-sum formula, and the two definitions of D(h, k) = 12k*s(h, k)
+that ``brieskorn._dedekind`` replaces, kept as oracles.
 
-``sigma_lattice`` below is unchanged: it visits every lattice point.
-``check_agreement`` compares outcomes, a value or an
-``InvariantViolation``, and raises ``AssertionError`` itself instead of
+``sigma_lattice`` below is Brieskorn's triple loop: it visits every
+lattice point. ``sigma_intervals`` counts one interval of x3 per (x1, x2)
+in (p1-1)*(p2-1) steps. ``check_agreement`` compares outcomes, a value or
+an ``InvariantViolation``, and raises ``AssertionError`` itself instead of
 using ``assert``, so the check also runs under ``python -O``:
 
     PYTHONPATH=src python -O tests/brieskorn_oracle.py
 
 runs both sweeps below and prints how many triples agreed and how many of
-them raised on both sides.
+them raised in both lattice counts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from steinkit import brieskorn
 from steinkit.brieskorn import BrieskornTriple
@@ -57,6 +60,62 @@ def sigma_lattice(t: BrieskornTriple) -> int:
     return positive - negative
 
 
+def sigma_intervals(t: BrieskornTriple) -> int:
+    """The lattice count of ``sigma_lattice``, by intervals: sigma =
+    b2 - 2*#negative, and with p3 the largest multiplicity the x3 with T in
+    (A, 2A) form an interval for each (x1, x2), counted by two floor
+    divisions in (p1-1)*(p2-1) steps."""
+    p1, p2, p3 = sorted((t.p1, t.p2, t.p3))
+    a23 = p2 * p3
+    a13 = p1 * p3
+    a12 = p1 * p2
+    total_volume = a12 * p3
+    negative = 0
+    for x1 in range(1, p1):
+        t1 = x1 * a23
+        for x2 in range(1, p2):
+            t12 = t1 + x2 * a13
+            # T = A*(x1/p1 + x2/p2 + x3/p3) is a multiple of A for some x3
+            # exactly when a12 | t12 and x3 = -t12/a12 mod p3 is not 0
+            if t12 % a12 == 0 and (t12 // a12) % p3 != 0:
+                x3 = -(t12 // a12) % p3
+                raise InvariantViolation(
+                    f"T = {t12 + x3 * a12} divisible by {total_volume} at "
+                    f"({x1}, {x2}, {x3}) of {(p1, p2, p3)}"
+                )
+            # A < t12 + x3*a12 < 2A for lo <= x3 <= hi
+            lo = max(1, (total_volume - t12) // a12 + 1)
+            hi = min(p3 - 1, (2 * total_volume - t12 - 1) // a12)
+            if hi >= lo:
+                negative += hi - lo + 1
+    return (p1 - 1) * (p2 - 1) * (p3 - 1) - 2 * negative
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+
+def dedekind_fraction(h: int, k: int) -> int:
+    """12k * s(h, k) from the definition s(h, k) = sum ((i/k))((hi/k))."""
+    s = sum(_sawtooth(Fraction(i, k)) * _sawtooth(Fraction(h * i, k)) for i in range(1, k))
+    value = 12 * k * s
+    if value.denominator != 1:
+        raise AssertionError(f"12k*s({h}, {k}) = {value} is not an integer")
+    return value.numerator
+
+
+def dedekind_reciprocity(h: int, k: int) -> int:
+    """12k * s(h, k) for coprime 0 < h < k by reciprocity:
+    D(h, k) = (h^2 + k^2 + 1 - 3hk - k*D(k mod h, h)) / h, D(1, k) =
+    (k-1)(k-2), each division checked exact."""
+    if h == 1:
+        return (k - 1) * (k - 2)
+    numerator = h * h + k * k + 1 - 3 * h * k - k * dedekind_reciprocity(k % h, h)
+    if numerator % h != 0:
+        raise AssertionError(f"reciprocity step at ({h}, {k}) is not exact")
+    return numerator // h
+
+
 def _outcome(count, t):
     try:
         return count(t)
@@ -65,12 +124,18 @@ def _outcome(count, t):
 
 
 def check_agreement(t) -> bool:
-    """Whether both counts raised; ``AssertionError`` when they disagree."""
+    """Whether both lattice counts raised; ``AssertionError`` when they
+    disagree, or when ``brieskorn.sigma_lattice`` does not give their value
+    on a pairwise-coprime triple or does not raise on any other."""
+    loop = _outcome(sigma_lattice, t)
+    intervals = _outcome(sigma_intervals, t)
+    if intervals != loop:
+        raise AssertionError(f"sigma_intervals({t}) = {intervals}, triple loop {loop}")
     got = _outcome(brieskorn.sigma_lattice, t)
-    want = _outcome(sigma_lattice, t)
+    want = loop if _pairwise_coprime((t.p1, t.p2, t.p3)) else InvariantViolation
     if got != want:
-        raise AssertionError(f"sigma_lattice({t}) = {got}, oracle {want}")
-    return got is InvariantViolation
+        raise AssertionError(f"sigma_lattice({t}) = {got}, expected {want}")
+    return loop is InvariantViolation
 
 
 def unchecked_triple(p1: int, p2: int, p3: int) -> BrieskornTriple:

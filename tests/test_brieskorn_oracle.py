@@ -1,7 +1,10 @@
-"""The interval count in ``brieskorn.sigma_lattice`` agrees exactly with
-the triple loop it replaced."""
+"""The Dedekind-sum signature in ``brieskorn.sigma_lattice`` agrees
+exactly with both lattice counts it replaced, and ``brieskorn._dedekind``
+with both definitions of D(h, k) it replaced."""
 
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +14,12 @@ import pytest
 import brieskorn_oracle
 from steinkit import brieskorn
 from steinkit.brieskorn import BrieskornTriple
-from steinkit.errors import WorkBudgetExceeded
+from steinkit.errors import InvariantViolation
 
 TESTS = Path(__file__).resolve().parent
 SWEPT = 2_965  # 2,946 ordered triples with entries 2..23, 3 named, 16 seeded
 RAISED = 343
+SHARED = 1_061  # ordered triples with entries 2..12 that share a factor
 
 
 def test_coprime_sweep():
@@ -28,10 +32,15 @@ def test_coprime_sweep():
 
 
 def test_shared_factors_raise_on_both_sides():
-    """Past the validator, both counts raise ``InvariantViolation`` on the
-    same triples and agree on the rest."""
-    raised = sum(map(brieskorn_oracle.check_agreement, brieskorn_oracle.shared_factor_sweep()))
-    assert raised == RAISED
+    """Past the validator, both lattice counts raise ``InvariantViolation``
+    on the same triples and agree on the rest; the Dedekind form raises
+    ``InvariantViolation`` on every one, never a bare ``ValueError``."""
+    triples = list(brieskorn_oracle.shared_factor_sweep())
+    raised = sum(map(brieskorn_oracle.check_agreement, triples))
+    assert (raised, len(triples)) == (RAISED, SHARED)
+    for t in triples:
+        with pytest.raises(InvariantViolation):
+            brieskorn.sigma_lattice(t)
 
 
 def test_agreement_under_optimize():
@@ -47,13 +56,35 @@ def test_agreement_under_optimize():
     assert proc.stdout.split() == ["optimized=True", f"agreed={SWEPT}", f"raised={RAISED}"]
 
 
-def test_work_budget(monkeypatch):
-    """The step count is (p1-1)(p2-1) of the two smallest multiplicities."""
-    with pytest.raises(WorkBudgetExceeded):
-        brieskorn.sigma_lattice(BrieskornTriple(1009, 1013, 1019))
-    with pytest.raises(WorkBudgetExceeded):
-        brieskorn.milnor_invariants(BrieskornTriple(10**7 + 19, 1009, 1013))
-    monkeypatch.setattr(brieskorn, "WORK_BUDGET", 12)
-    assert brieskorn_oracle.check_agreement(BrieskornTriple(11, 3, 7)) is False
-    with pytest.raises(WorkBudgetExceeded):
-        brieskorn.sigma_lattice(BrieskornTriple(11, 3, 8))
+def test_former_budget_triple_exact():
+    """(1009, 1013, 1019) took 1,020,096 interval steps, over the old budget
+    of 10**6; the interval oracle, which has no budget, agrees."""
+    t = BrieskornTriple(1009, 1013, 1019)
+    assert brieskorn.milnor_invariants(t).sigma == -347_178_080
+    assert brieskorn_oracle.sigma_intervals(t) == -347_178_080
+
+
+def test_dedekind_against_definition():
+    """Every coprime 1 <= h < k <= 60, and h = 0 at k = 1."""
+    checked = 0
+    for k in range(1, 61):
+        for h in range(1 if k > 1 else 0, k):
+            if math.gcd(h, k) == 1:
+                assert brieskorn._dedekind(h, k) == brieskorn_oracle.dedekind_fraction(h, k), (h, k)
+                checked += 1
+    assert checked == 1_102
+
+
+def test_dedekind_against_reciprocity():
+    """Seeded coprime pairs below 10**6; h above k and negative h reduce mod k."""
+    rng = random.Random(19770101)
+    checked = 0
+    while checked < 2_000:
+        h, k = sorted(rng.sample(range(1, 10**6), 2))
+        if math.gcd(h, k) != 1:
+            continue
+        want = brieskorn_oracle.dedekind_reciprocity(h, k)
+        assert brieskorn._dedekind(h, k) == want, (h, k)
+        assert brieskorn._dedekind(h + rng.randint(1, 10**6) * k, k) == want, (h, k)
+        assert brieskorn._dedekind(h - rng.randint(1, 10**6) * k, k) == want, (h, k)
+        checked += 1

@@ -4,26 +4,31 @@ Arbitrary bytes, and text built from the formats' own tokens, go into the
 file of ``front stats``, ``front stabilize`` and ``handlebody analyze``,
 with arbitrary ints for ``--component`` and ``--at``; arbitrary ints go on
 the argv of ``brieskorn invariants``, ``seifert`` and ``surgery`` and of
-``check prop-theta``, whose lattice count stops at its work budget. Each
-run must exit 0, 1 or 2, print at most one stderr line on exits 0 and 1,
-and never raise out of ``main`` or print a traceback. ``torus-knot`` and
+``check prop-theta``, whose signature takes O(log pqr) steps. Each run
+must exit 0, 1 or 2, print at most one stderr line on exits 0 and 1, and
+never raise out of ``main`` or print a traceback. ``torus-knot`` and
 ``nucleus`` are left out: their work grows with p*q and has no budget, so
 arbitrary ints would not finish.
 """
 
 import contextlib
 import io
+import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import cli, fronts
+from steinkit import brieskorn, cli, fronts
 
 from test_fronts import front_diagrams
 
@@ -98,7 +103,7 @@ def test_typed_exit(content, args, as_json):
 
 
 # Distinct primes make valid triples and (p, q) pairs; two of 1009, 1013 and
-# 1019, or two Mersenne primes, put the lattice count over its budget.
+# 1019, or two Mersenne primes, would take a lattice count past any budget.
 PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 23, 101, 1009, 1013, 1019, 2**61 - 1, 2**127 - 1])
 ANY_INT = st.one_of(st.integers(-2, 40), st.integers(), PRIME)
 PAIR = st.one_of(st.tuples(PRIME, PRIME), st.tuples(ANY_INT, ANY_INT))
@@ -127,21 +132,115 @@ def run_process(*argv):
     )
 
 
+@pytest.fixture
+def no_int_str_limit():
+    """Results over 4,300 digits are read back with Python's limit on
+    int-to-str conversion lifted, and the limit is restored after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def _digits(rng, count):
+    return rng.randrange(10 ** (count - 1), 10**count)
+
+
+def random_coprime_triple(seed, digits):
+    """Three pairwise-coprime ints of ``digits`` digits."""
+    rng = random.Random(seed)
+    triple = [_digits(rng, digits)]
+    while len(triple) < 3:
+        x = _digits(rng, digits)
+        if all(math.gcd(x, y) == 1 for y in triple):
+            triple.append(x)
+    return tuple(triple)
+
+
+def fibonacci_triple(digits):
+    """Consecutive Fibonacci numbers p < q below 10**digits and r = kp + 1
+    coprime to q. Then qr = q mod p, so D(qr, p) runs through the continued
+    fraction of F(n-1)/F(n), all ones: the longest of its size."""
+    p, q = 1, 2
+    while q + p < 10**digits:
+        p, q = q, p + q
+    r = p + 1
+    while math.gcd(r, q) != 1:
+        r += p
+    return p, q, r
+
+
 @pytest.mark.parametrize(
-    "triple,code,line",
+    "triple,line",
     [
-        ((97, 101, 10001), 0, "sigma=-32653256"),
-        ((97, 101, 97969), 0, "sigma=-319872000"),
-        ((1009, 1013, 1019), 1, "WorkBudgetExceeded: "),
+        ((97, 101, 10001), "sigma=-32653256"),
+        ((97, 101, 97969), "sigma=-319872000"),
+        ((1009, 1013, 1019), "sigma=-347178080"),
+        (random_coprime_triple(1, 4299), None),
+        (fibonacci_triple(4299), None),
     ],
-    ids=["generic", "n=10", "over-budget"],
+    ids=["generic", "n=10", "1009-1013-1019", "random-4299-digits", "fibonacci-4299-digits"],
 )
-def test_large_triples_end_typed(triple, code, line):
-    """97 * 101 * 10 - 1 = 97969, so n=10 runs the closed-form check."""
+def test_large_triples_end_typed(triple, line, no_int_str_limit):
+    """97 * 101 * 10 - 1 = 97969, so n=10 runs the closed-form check;
+    (1009, 1013, 1019) took 1,020,096 steps of the interval count. Each case
+    ends within 5 s, interpreter start included, and prints the library's
+    exact signature."""
+    start = time.perf_counter()
     proc = run_process("brieskorn", "invariants", *map(str, triple))
-    assert proc.returncode == code, proc.stderr
-    if code == 0:
-        assert proc.stderr == "" and line in proc.stdout.splitlines()
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    sigma = brieskorn.milnor_invariants(brieskorn.BrieskornTriple(*triple)).sigma
+    assert f"sigma={sigma}" in proc.stdout.splitlines()
+    if line is not None:
+        assert line == f"sigma={sigma}"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+def test_results_over_4300_digits_print(as_json, no_int_str_limit):
+    """(p, q, npq - 1) with p, q of 101 digits and n of 4,000: every input is
+    under argparse's 4,300-digit cap, sigma and b2 are over it."""
+    p, q, n = 10**100 + 1, 10**100 + 3, 10**3999 + 7
+    proc = run_process(
+        "brieskorn", "invariants", str(p), str(q), str(n * p * q - 1),
+        *(["--json"] if as_json else []),
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    if as_json:
+        sigma = json.loads(proc.stdout)["sigma"]
     else:
-        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith(line)
+        (line,) = [x for x in proc.stdout.splitlines() if x.startswith("sigma=")]
+        sigma = int(line.removeprefix("sigma="))
+    assert sigma == brieskorn.sigma_closed_form(p, q, n)
+    assert len(str(sigma)) > 4300
+
+
+BIG = 10**4300 - 1  # 4,300 digits, the most argparse reads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["brieskorn", "surgery", str(BIG - 2), str(BIG), str(BIG), "-"],
+        ["check", "embed", str(BIG - 2), str(BIG), "1"],
+        ["check", "prop-theta", str(BIG - 2), str(BIG), "-1"],
+        ["nucleus", "2", "3", str(BIG)],
+    ],
+    ids=["surgery", "embed", "prop-theta", "nucleus"],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+def test_other_results_over_4300_digits_print(argv, as_json):
+    """Each of these prints an integer of more than 4,300 digits."""
+    proc = run_process(*argv, *(["--json"] if as_json else []))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert re.search("[0-9]{4301}", proc.stdout)
+
+
+def test_sigma_sweep_row_budget():
+    """31,920,000 possible rows: refused before any work, on one line."""
+    start = time.perf_counter()
+    proc = run_process("brieskorn", "sigma-sweep", "--pmax", "400", "--nmax", "400")
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("WorkBudgetExceeded: ")
