@@ -91,6 +91,14 @@ class SurgeryDescription:
             raise InvalidParams(f"sign must be +-1, got {self.sign}")
 
 
+def _brief(n: int) -> str:
+    """``n`` for an error message: in full below 10**100, else by sign and
+    bit length, so that no limit on int-to-str conversion can refuse it."""
+    if -(10**100) < n < 10**100:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<integer of {n.bit_length()} bits>"
+
+
 def _min_abs_residues(residue: int, modulus: int) -> list[int]:
     """Representatives of ``residue`` mod ``modulus`` of minimal absolute
     value, positive one first when both signs achieve it."""
@@ -113,7 +121,9 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
         for q2 in _min_abs_residues(pow(p1 * p3, -1, p2), p2):
             remainder = 1 - q1 * p2 * p3 - q2 * p1 * p3
             if remainder % (p1 * p2) != 0:
-                raise InvariantViolation(f"{remainder} not divisible by {p1 * p2}")
+                raise InvariantViolation(
+                    f"{_brief(remainder)} not divisible by {_brief(p1 * p2)}"
+                )
             solutions.append((q1, q2, remainder // (p1 * p2)))
     best = min(
         solutions,
@@ -121,7 +131,9 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
     )
     out = SeifertData(*best)
     if out.q1 * p2 * p3 + p1 * out.q2 * p3 + p1 * p2 * out.q3 != 1:
-        raise InvariantViolation(f"Seifert data {out} of {t} does not sum to 1")
+        raise InvariantViolation(
+            f"Seifert data ({', '.join(map(_brief, best))}) of {t} does not sum to 1"
+        )
     return out
 
 
@@ -188,7 +200,7 @@ def sigma_closed_form(p: int, q: int, n: int) -> int:
     _check_pqn(p, q, n)
     numerator = -n * (p * p - 1) * (q * q - 1)
     if numerator % 3 != 0:
-        raise InvariantViolation(f"{numerator} not divisible by 3")
+        raise InvariantViolation(f"{_brief(numerator)} not divisible by 3")
     return numerator // 3
 
 
@@ -198,7 +210,9 @@ def theta_closed_form(p: int, q: int, n: int) -> int:
     two_l = 2 * _check_pqn(p, q, n).l
     value = two_l * (4 - n * (two_l - 2)) - 2
     if value % 4 != 2:
-        raise InvariantViolation(f"theta {value} of ({p}, {q}, {n}) is not 2 mod 4")
+        raise InvariantViolation(
+            f"theta {_brief(value)} of ({p}, {q}, {n}) is not 2 mod 4"
+        )
     return value
 
 
@@ -229,12 +243,15 @@ def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
         closed = (sigma_closed_form(p, q, n), theta_closed_form(p, q, n))
         if (sigma, theta) != closed:
             raise InvariantViolation(
-                f"{t}: (sigma, theta) = {(sigma, theta)}, closed forms give {closed}"
+                f"{t}: (sigma, theta) = ({_brief(sigma)}, {_brief(theta)}), "
+                f"closed forms give ({_brief(closed[0])}, {_brief(closed[1])})"
             )
     if abs(sigma) > b2:
-        raise InvariantViolation(f"{t}: |sigma| = {abs(sigma)} exceeds b2 = {b2}")
+        raise InvariantViolation(
+            f"{t}: |sigma| = {_brief(abs(sigma))} exceeds b2 = {_brief(b2)}"
+        )
     if theta % 4 != 2:
-        raise InvariantViolation(f"{t}: theta {theta} is not 2 mod 4")
+        raise InvariantViolation(f"{t}: theta {_brief(theta)} is not 2 mod 4")
     return MilnorInvariants(b2=b2, chi=chi, sigma=sigma, theta_boundary=theta, c1=c1)
 
 

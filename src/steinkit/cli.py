@@ -268,9 +268,9 @@ def _check_embed(args):
         "target": asdict(plan.target),
         "framing": plan.framing,
         "boundary": plan.boundary,
-        "split_forms": plan.split_forms,
+        "split_forms": criteria.SPLIT_FORMS,
     }
-    return payload, _schedule_table({**payload, "split_forms": " ".join(plan.split_forms)})
+    return payload, _schedule_table({**payload, "split_forms": " ".join(criteria.SPLIT_FORMS)})
 
 
 @command("check prop-theta", "p", "q", "eps")

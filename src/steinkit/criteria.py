@@ -20,6 +20,10 @@ from .fronts import (
     stabilize_invariants,
 )
 
+# Intersection forms of the two pieces into which a brieskorn_embed_plan
+# splits the ruled surface; every plan has the same two.
+SPLIT_FORMS = ("<+1>", "<-1>")
+
 
 @dataclass(frozen=True)
 class HirzQuery:
@@ -44,7 +48,6 @@ class EmbedPlan:
     framing: int
     schedule: StabilizationSchedule
     boundary: OrientedBrieskorn
-    split_forms: tuple[str, str] = ("<+1>", "<-1>")
 
 
 @dataclass(frozen=True)

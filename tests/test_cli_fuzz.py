@@ -4,11 +4,12 @@ Arbitrary bytes, and text built from the formats' own tokens, go into the
 file of ``front stats``, ``front stabilize`` and ``handlebody analyze``,
 with arbitrary ints for ``--component`` and ``--at``; arbitrary ints go on
 the argv of ``brieskorn invariants``, ``seifert`` and ``surgery`` and of
-``check prop-theta``, whose signature takes O(log pqr) steps. Each run
-must exit 0, 1 or 2, print at most one stderr line on exits 0 and 1, and
-never raise out of ``main`` or print a traceback. ``torus-knot`` and
-``nucleus`` are left out: their work grows with p*q and has no budget, so
-arbitrary ints would not finish.
+``check prop-theta``, whose signature takes O(log pqr) steps, and of
+``torus-knot``, with and without ``--stabilize``, whose event count is
+bounded before any work. Each run must exit 0, 1 or 2, print at most one
+stderr line on exits 0 and 1, and never raise out of ``main`` or print a
+traceback. ``nucleus`` is left out: its work grows with p*q and has no
+budget, so arbitrary ints would not finish.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinkit import brieskorn, cli, fronts
+from steinkit.errors import InvariantViolation
 
 from test_fronts import front_diagrams
 
@@ -121,6 +123,45 @@ ARGV = st.one_of(
 @given(argv=ARGV, as_json=st.booleans())
 def test_typed_exit_on_argv_ints(argv, as_json):
     run_main([*argv, *(["--json"] if as_json else [])])
+
+
+# 10**4200 once ended in an OverflowError traceback as a zig-zag count.
+COUNT = st.one_of(ANY_INT, st.just(10**4200))
+TORUS_ARGV = st.builds(
+    lambda p, q, schedule: [
+        "torus-knot", str(p), str(q),
+        *([] if schedule is None else ["--stabilize", "{},{}".format(*schedule)]),
+    ],
+    ANY_INT, ANY_INT, st.one_of(st.none(), st.tuples(COUNT, COUNT)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=TORUS_ARGV, as_json=st.booleans())
+def test_torus_knot_typed_exit(argv, as_json):
+    """Fronts over ``fronts.EVENT_BUDGET`` events are refused before any
+    is built, so every example ends within 5 s."""
+    start = time.perf_counter()
+    run_main([*argv, *(["--json"] if as_json else [])])
+    assert time.perf_counter() - start < 5
+
+
+def test_failed_cross_check_on_huge_sigma(monkeypatch):
+    """A signature off by 8 on a triple whose sigma has over 4,300 digits
+    raises InvariantViolation, not the ValueError of formatting it, and
+    the CLI exits 3 with one stderr line."""
+    p, q, n = 10**100 + 1, 10**100 + 3, 10**3999 + 7
+    triple = (p, q, n * p * q - 1)
+    sigma = brieskorn.sigma_lattice
+    monkeypatch.setattr(brieskorn, "sigma_lattice", lambda t: sigma(t) + 8)
+    with pytest.raises(InvariantViolation, match="closed forms give"):
+        brieskorn.milnor_invariants(brieskorn.BrieskornTriple(*triple))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["brieskorn", "invariants", *map(str, triple)])
+    assert code == 3 and out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("InvariantViolation: ")
 
 
 def run_process(*argv):

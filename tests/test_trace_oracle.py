@@ -1,4 +1,5 @@
-"""The thread trace agrees exactly with the segment-graph oracle."""
+"""The thread trace agrees exactly with the segment-graph oracle, and the
+one-pass parser with the three-check parser it replaced."""
 
 import ast
 import os
@@ -39,6 +40,31 @@ def test_front_diagrams(d, data):
     trace_oracle.check_agreement(FrontDiagram(d.events, flips))
 
 
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_parse_agreement(rng):
+    trace_oracle.check_parse_agreement(*trace_oracle.random_front_text(rng))
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("L 0\nR 0\nflip 0\nL 0\nR 0\n", "MalformedToken"),
+        ("L 0\nR 0\nL -1\nZ 0\n", "MalformedToken"),
+        ("L 0\nX 1\nR 0\n", "InvalidPosition"),
+        ("L 0\nL 1\nR 0\n", "UnbalancedDiagram"),
+        ("X  3 # c\n", "InvalidPosition"),
+        ("L -0\nL 001\nR 0\nR 0\nflip 0\n", "ok"),
+    ],
+    ids=["cached-line-after-flip", "negative-then-tag", "crossing", "open", "blanks", "zeros"],
+)
+def test_parse_agreement_cases(text, error):
+    """Line-level faults are read before positions: for the second case the
+    old parser stopped at the negative position, the new one at the tag."""
+    shifted = text.replace("L -1", f"L {trace_oracle.OUT_OF_RANGE}")
+    assert trace_oracle.check_parse_agreement(text, shifted) == error
+
+
 def test_agreement_under_optimize():
     """The cross-checks in the trace and in the agreement check are raises,
     not asserts, so ``python -O`` keeps them."""
@@ -49,7 +75,7 @@ def test_agreement_under_optimize():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["optimized=True", "agreed=300"]
+    assert proc.stdout.split() == ["optimized=True", "agreed=300", "parsed=2000"]
 
 
 @pytest.mark.parametrize(
