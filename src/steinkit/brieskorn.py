@@ -15,42 +15,51 @@ triple loop and one interval of x3 per (x1, x2), are its test oracles.
 The division by 3a and the closed forms check exact divisibility; a
 failed cross-check raises ``InvariantViolation``, so ``python -O`` keeps
 them.
+
+The records are ``NamedTuple``s; ``BrieskornTriple`` and
+``SurgeryDescription`` check their entries when built. ``OrientedBrieskorn``
+is a ``StrictRecord``, not a tuple, so the CLI prints it through ``str``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DegenerateThirdMultiplicity, InvalidParams, InvariantViolation
-from .fronts import TorusKnotParams
+from .errors import DegenerateThirdMultiplicity, InvalidParams, InvariantViolation, brief
+from .fronts import StrictRecord, TorusKnotParams
 
 
-@dataclass(frozen=True)
-class BrieskornTriple:
+class _Triple(NamedTuple):
     p1: int
     p2: int
     p3: int
 
-    def __post_init__(self):
-        ps = (self.p1, self.p2, self.p3)
+
+class BrieskornTriple(_Triple):
+    __slots__ = ()
+
+    def __new__(cls, p1: int, p2: int, p3: int):
+        ps = (p1, p2, p3)
         if any(p < 2 for p in ps):
             raise InvalidParams(f"multiplicities must be >= 2, got {ps}")
-        for a, b in ((self.p1, self.p2), (self.p1, self.p3), (self.p2, self.p3)):
+        for a, b in ((p1, p2), (p1, p3), (p2, p3)):
             if math.gcd(a, b) != 1:
                 raise InvalidParams(f"multiplicities {ps} not pairwise coprime")
+        return tuple.__new__(cls, ps)
 
 
-@dataclass(frozen=True)
-class OrientedBrieskorn:
-    """A Brieskorn sphere with a sign: +1 is the link-of-singularity orientation."""
+class OrientedBrieskorn(StrictRecord):
+    """A Brieskorn sphere with a sign: +1 is the link-of-singularity
+    orientation. Not a tuple, so that the CLI prints it through ``str``."""
 
-    triple: BrieskornTriple
-    sign: int
+    __slots__ = _key = ("triple", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InvalidParams(f"sign must be +-1, got {self.sign}")
+    def __init__(self, triple: BrieskornTriple, sign: int):
+        if sign not in (1, -1):
+            raise InvalidParams(f"sign must be +-1, got {sign}")
+        self.triple = triple
+        self.sign = sign
 
     def __str__(self):
         t = self.triple
@@ -58,15 +67,13 @@ class OrientedBrieskorn:
         return f"{prefix}Sigma({t.p1},{t.p2},{t.p3})"
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(NamedTuple):
     q1: int
     q2: int
     q3: int
 
 
-@dataclass(frozen=True)
-class MilnorInvariants:
+class MilnorInvariants(NamedTuple):
     b2: int
     chi: int
     sigma: int
@@ -74,29 +81,25 @@ class MilnorInvariants:
     c1: int = 0
 
 
-@dataclass(frozen=True)
-class SurgeryDescription:
-    """+-1/n surgery on the right-handed (p, q) torus knot."""
-
+class _Surgery(NamedTuple):
     p: int
     q: int
     n: int
     sign: int
 
-    def __post_init__(self):
-        TorusKnotParams(self.p, self.q)
-        if self.n < 1:
-            raise InvalidParams(f"n must be positive, got {self.n}")
-        if self.sign not in (1, -1):
-            raise InvalidParams(f"sign must be +-1, got {self.sign}")
 
+class SurgeryDescription(_Surgery):
+    """+-1/n surgery on the right-handed (p, q) torus knot."""
 
-def _brief(n: int) -> str:
-    """``n`` for an error message: in full below 10**100, else by sign and
-    bit length, so that no limit on int-to-str conversion can refuse it."""
-    if -(10**100) < n < 10**100:
-        return str(n)
-    return f"{'-' if n < 0 else ''}<integer of {n.bit_length()} bits>"
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, n: int, sign: int):
+        TorusKnotParams(p, q)
+        if n < 1:
+            raise InvalidParams(f"n must be positive, got {n}")
+        if sign not in (1, -1):
+            raise InvalidParams(f"sign must be +-1, got {sign}")
+        return tuple.__new__(cls, (p, q, n, sign))
 
 
 def _min_abs_residues(residue: int, modulus: int) -> list[int]:
@@ -122,7 +125,7 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
             remainder = 1 - q1 * p2 * p3 - q2 * p1 * p3
             if remainder % (p1 * p2) != 0:
                 raise InvariantViolation(
-                    f"{_brief(remainder)} not divisible by {_brief(p1 * p2)}"
+                    f"{brief(remainder)} not divisible by {brief(p1 * p2)}"
                 )
             solutions.append((q1, q2, remainder // (p1 * p2)))
     best = min(
@@ -132,7 +135,7 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
     out = SeifertData(*best)
     if out.q1 * p2 * p3 + p1 * out.q2 * p3 + p1 * p2 * out.q3 != 1:
         raise InvariantViolation(
-            f"Seifert data ({', '.join(map(_brief, best))}) of {t} does not sum to 1"
+            f"Seifert data {brief(best)} of Sigma{brief(t)} does not sum to 1"
         )
     return out
 
@@ -183,7 +186,7 @@ def sigma_lattice(t: BrieskornTriple) -> int:
     p, q, r = t.p1, t.p2, t.p3
     for x, y in ((p, q), (p, r), (q, r)):
         if math.gcd(x, y) != 1:
-            raise InvariantViolation(f"{(p, q, r)} is not pairwise coprime")
+            raise InvariantViolation(f"{brief((p, q, r))} is not pairwise coprime")
     a = p * q * r
     pq, pr, qr = p * q, p * r, q * r
     numerator = (
@@ -191,7 +194,7 @@ def sigma_lattice(t: BrieskornTriple) -> int:
         - qr * _dedekind(qr, p) - pr * _dedekind(pr, q) - pq * _dedekind(pq, r)
     )
     if numerator % (3 * a) != 0:
-        raise InvariantViolation(f"3a*sigma of {(p, q, r)} is not divisible by 3a")
+        raise InvariantViolation(f"3a*sigma of {brief((p, q, r))} is not divisible by 3a")
     return numerator // (3 * a)
 
 
@@ -200,7 +203,7 @@ def sigma_closed_form(p: int, q: int, n: int) -> int:
     _check_pqn(p, q, n)
     numerator = -n * (p * p - 1) * (q * q - 1)
     if numerator % 3 != 0:
-        raise InvariantViolation(f"{_brief(numerator)} not divisible by 3")
+        raise InvariantViolation(f"{brief(numerator)} not divisible by 3")
     return numerator // 3
 
 
@@ -211,7 +214,7 @@ def theta_closed_form(p: int, q: int, n: int) -> int:
     value = two_l * (4 - n * (two_l - 2)) - 2
     if value % 4 != 2:
         raise InvariantViolation(
-            f"theta {_brief(value)} of ({p}, {q}, {n}) is not 2 mod 4"
+            f"theta {brief(value)} of {brief((p, q, n))} is not 2 mod 4"
         )
     return value
 
@@ -243,15 +246,15 @@ def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
         closed = (sigma_closed_form(p, q, n), theta_closed_form(p, q, n))
         if (sigma, theta) != closed:
             raise InvariantViolation(
-                f"{t}: (sigma, theta) = ({_brief(sigma)}, {_brief(theta)}), "
-                f"closed forms give ({_brief(closed[0])}, {_brief(closed[1])})"
+                f"Sigma{brief(t)}: (sigma, theta) = ({brief(sigma)}, {brief(theta)}), "
+                f"closed forms give ({brief(closed[0])}, {brief(closed[1])})"
             )
     if abs(sigma) > b2:
         raise InvariantViolation(
-            f"{t}: |sigma| = {_brief(abs(sigma))} exceeds b2 = {_brief(b2)}"
+            f"Sigma{brief(t)}: |sigma| = {brief(abs(sigma))} exceeds b2 = {brief(b2)}"
         )
     if theta % 4 != 2:
-        raise InvariantViolation(f"{t}: theta {_brief(theta)} is not 2 mod 4")
+        raise InvariantViolation(f"Sigma{brief(t)}: theta {brief(theta)} is not 2 mod 4")
     return MilnorInvariants(b2=b2, chi=chi, sigma=sigma, theta_boundary=theta, c1=c1)
 
 

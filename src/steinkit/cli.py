@@ -28,7 +28,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import brieskorn, criteria, fronts, handlebody
@@ -36,9 +35,10 @@ from .errors import (
     DomainError, ExcludedCase, InvariantViolation, MalformedToken, WorkBudgetExceeded,
 )
 
-# Most rows ``brieskorn sigma-sweep`` may emit, bounded before any work by
-# pmax*(pmax-1)/2*nmax: each row costs O(log pqn), so this is about two
-# seconds of pure Python.
+# Most rows ``brieskorn sigma-sweep``, ``brieskorn casson-harer`` and ``check
+# theta-survey`` may emit, bounded from their arguments before any work. A
+# row costs O(log) integer steps, so a run at the budget takes one to three
+# seconds (Python 3.11 on one core of an x86-64 host).
 WORK_BUDGET = 10**5
 
 # "name" or "group name" -> (function, arguments), in registration order
@@ -101,9 +101,19 @@ def _table(payload: dict):
             yield f"{key}={_format(value)}"
 
 
-def _fields(obj) -> dict:
-    """A dataclass result as a payload; fields that are None are left out."""
-    return {k: v for k, v in asdict(obj).items() if v is not None}
+def _asdict(value):
+    """A ``NamedTuple`` record as a dict, and so on down into its fields
+    and into tuples and lists; anything else as it is."""
+    if hasattr(value, "_fields"):
+        return {k: _asdict(v) for k, v in zip(value._fields, value)}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_asdict, value))
+    return value
+
+
+def _fields(record) -> dict:
+    """A record result as a payload; fields that are None are left out."""
+    return {k: v for k, v in _asdict(record).items() if v is not None}
 
 
 def _schedule_table(payload: dict):
@@ -119,7 +129,7 @@ def _events(diagram: fronts.FrontDiagram) -> list[list]:
 def _front_payload(diagram: fronts.FrontDiagram) -> dict:
     comps = fronts.components(diagram)
     per_comp = [
-        {"index": c.index, **asdict(fronts.invariants(diagram, c.index))} for c in comps
+        {"index": c.index, **_asdict(fronts.invariants(diagram, c.index))} for c in comps
     ]
     linking = [
         {"i": i, "j": j, "lk": fronts.linking_number(diagram, i, j)}
@@ -127,6 +137,12 @@ def _front_payload(diagram: fronts.FrontDiagram) -> dict:
         for j in range(i + 1, len(comps))
     ]
     return {"components": per_comp, "linking": linking}
+
+
+def _check_rows(rows: int, flags: str) -> None:
+    """Refuse, before any work, a command that may emit ``rows`` rows."""
+    if rows > WORK_BUDGET:
+        raise WorkBudgetExceeded(f"{flags} may emit over {WORK_BUDGET} rows")
 
 
 def _coprime_pairs(bound: int):
@@ -206,19 +222,17 @@ def _brieskorn_surgery(args):
     result = brieskorn.surgery_to_brieskorn(
         brieskorn.SurgeryDescription(p=args.p, q=args.q, n=args.n, sign=sign)
     )
-    return {"sign": result.sign, **asdict(result.triple)}, [result]
+    return {"sign": result.sign, **_asdict(result.triple)}, [result]
 
 
 @command("brieskorn sigma-sweep", "--pmax", "--nmax")
 def _sigma_sweep(args):
     pmax, nmax = max(args.pmax, 0), max(args.nmax, 0)
-    if pmax * (pmax - 1) // 2 * nmax > WORK_BUDGET:
-        raise WorkBudgetExceeded(
-            f"--pmax {args.pmax} --nmax {args.nmax} may emit over {WORK_BUDGET} rows"
-        )
+    _check_rows(pmax * (pmax - 1) // 2 * nmax, f"--pmax {args.pmax} --nmax {args.nmax}")
     rows = []
-    for p, q in _coprime_pairs(args.pmax):
-        for n in range(1, args.nmax + 1):
+    # without an n there is no row, so the pairs are not enumerated
+    for p, q in _coprime_pairs(pmax if nmax else 0):
+        for n in range(1, nmax + 1):
             lattice = brieskorn.sigma_lattice(brieskorn.BrieskornTriple(p, q, n * p * q - 1))
             closed = brieskorn.sigma_closed_form(p, q, n)
             rows.append({"p": p, "q": q, "n": n, "sigma": lattice, "closed": closed})
@@ -227,9 +241,12 @@ def _sigma_sweep(args):
 
 @command("brieskorn casson-harer", "--pmax", "--nmax")
 def _casson_harer(args):
+    pmax, nmax = max(args.pmax, 0), max(args.nmax, 0)
+    # at most two triples per (p, n)
+    _check_rows(2 * pmax * nmax, f"--pmax {args.pmax} --nmax {args.nmax}")
     triples = brieskorn.casson_harer_families(args.pmax, args.nmax)
     return (
-        {"triples": [asdict(t) for t in triples]},
+        {"triples": _asdict(triples)},
         [f"Sigma({t.p1},{t.p2},{t.p3})" for t in triples],
     )
 
@@ -243,8 +260,10 @@ def _handlebody_analyze(args):
 def _nucleus(args):
     data = handlebody.nucleus(args.p, args.q, args.n)
     analysis = _fields(handlebody.analyze(data.kirby))
-    head = {**_fields(data), "boundary": data.boundary}
+    head = _fields(data)
     kirby = head.pop("kirby")
+    # ``l`` and ``fiber_genus`` are one number; the payload keeps both keys
+    head = {"l": data.fiber_genus, **head}
     handles = kirby["two_handles"]
     payload = {**head, "handles": handles, "linking": kirby["linking"], "analysis": analysis}
     return payload, itertools.chain(
@@ -263,9 +282,9 @@ def _check_hirz(args):
 def _check_embed(args):
     plan = criteria.brieskorn_embed_plan(args.p, args.q, args.eps)
     payload = {
-        "source": asdict(plan.source),
-        "schedule": asdict(plan.schedule),
-        "target": asdict(plan.target),
+        "source": _asdict(plan.source),
+        "schedule": _asdict(plan.schedule),
+        "target": _asdict(plan.target),
         "framing": plan.framing,
         "boundary": plan.boundary,
         "split_forms": criteria.SPLIT_FORMS,
@@ -298,6 +317,8 @@ def _check_slice(args):
 @command("check theta-survey", "--bound")
 def _check_theta_survey(args):
     """``check prop-theta`` for eps = +1 then -1 over coprime 2 <= p < q <= bound."""
+    bound = max(args.bound, 0)
+    _check_rows(bound * (bound - 1), f"--bound {args.bound}")
     rows, excluded = [], []
     for eps in (1, -1):
         for p, q in _coprime_pairs(args.bound):

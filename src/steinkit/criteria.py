@@ -3,15 +3,16 @@
 All checks work at the level of (tb, r) pairs: the hypotheses quantify over
 Legendrian representatives, so a caller supplies a known representative
 (e.g. via ``fronts.invariants``) and the procedures decide whether zig-zag
-stabilization reaches the required target.
+stabilization reaches the required target. Queries and verdicts are
+``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .brieskorn import BrieskornTriple, OrientedBrieskorn, milnor_invariants
-from .errors import ExcludedCase, InvalidParams, InvariantViolation
+from .errors import ExcludedCase, InvalidParams, InvariantViolation, brief
 from .fronts import (
     LegendrianInvariants,
     StabilizationSchedule,
@@ -25,8 +26,7 @@ from .fronts import (
 SPLIT_FORMS = ("<+1>", "<-1>")
 
 
-@dataclass(frozen=True)
-class HirzQuery:
+class HirzQuery(NamedTuple):
     """Can the n-framed handlebody on a knot with Legendrian representative
     ``inv0`` embed in the ruled surface of parity ``m`` as a section?"""
 
@@ -35,14 +35,12 @@ class HirzQuery:
     m: int
 
 
-@dataclass(frozen=True)
-class HirzVerdict:
+class HirzVerdict(NamedTuple):
     embeddable: bool
     schedule: StabilizationSchedule | None
 
 
-@dataclass(frozen=True)
-class EmbedPlan:
+class EmbedPlan(NamedTuple):
     source: LegendrianInvariants
     target: LegendrianInvariants
     framing: int
@@ -50,22 +48,19 @@ class EmbedPlan:
     boundary: OrientedBrieskorn
 
 
-@dataclass(frozen=True)
-class ThetaReport:
+class ThetaReport(NamedTuple):
     theta_embed: int  # always -2
     theta_milnor: int
     homotopic: bool
     b2_mod3: int
 
 
-@dataclass(frozen=True)
-class CaveVerdict:
+class CaveVerdict(NamedTuple):
     feasible: bool
     target: LegendrianInvariants | None
 
 
-@dataclass(frozen=True)
-class FlipVerdict:
+class FlipVerdict(NamedTuple):
     feasible: bool
     flips: int | None
 
@@ -106,9 +101,14 @@ def brieskorn_embed_plan(p: int, q: int, eps: int) -> EmbedPlan:
         framing = 1
         boundary_sign = -1
     if stabilize_invariants(source, schedule) != target:
-        raise InvariantViolation(f"{schedule} does not take {source} to {target}")
+        raise InvariantViolation(
+            f"(up, down) = {brief(schedule)} does not take (tb, r) = "
+            f"{brief(source)} to {brief(target)}"
+        )
     if framing != target.tb - 1:
-        raise InvariantViolation(f"framing {framing} is not tb - 1 of {target}")
+        raise InvariantViolation(
+            f"framing {framing} is not tb - 1 of (tb, r) = {brief(target)}"
+        )
     return EmbedPlan(
         source=source,
         target=target,

@@ -2,8 +2,24 @@
 
 Every failure mode that callers (and the CLI) are expected to distinguish
 gets its own class. The CLI prints ``type(e).__name__`` and exits 1, so
-these names are part of the external contract.
+these names are part of the external contract. ``brief`` formats the
+numbers in a message.
 """
+
+
+def brief(value) -> str:
+    """``value`` for an error message, so that no limit on int-to-str
+    conversion can refuse it: an int in full below 10**100, else by sign
+    and bit length; a fraction as num/den; a tuple, such as a record, entry
+    by entry."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(brief, value)) + ")"
+    if value.denominator != 1:
+        return f"{brief(value.numerator)}/{brief(value.denominator)}"
+    n = value.numerator
+    if -(10**100) < n < 10**100:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<integer of {n.bit_length()} bits>"
 
 
 class DomainError(Exception):

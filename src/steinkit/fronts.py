@@ -13,6 +13,12 @@ describes a geometrically realizable front, so no slope or coordinate data
 is stored. All arithmetic is exact integer arithmetic. An event is a plain
 ``(kind, position)`` record, ``FrontEvent``, that checks nothing itself.
 
+Records. Value records are ``NamedTuple``s, so they compare equal to plain
+tuples; ``StabilizationSchedule`` and ``TorusKnotParams`` check their
+entries when built. ``FrontDiagram`` and ``Component`` carry the trace, so
+they are ``StrictRecord``s instead: ``__slots__`` classes, equal only to
+their own type, compared by everything but the trace.
+
 Orientation convention: each component is canonically oriented so that the
 upper strand of its first-created left cusp points rightward; components
 listed in ``orientation_flips`` are reversed. Orientation reverses across
@@ -37,7 +43,6 @@ only when asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
@@ -73,37 +78,44 @@ class FrontEvent(NamedTuple):
     position: int
 
 
-@dataclass(frozen=True)
-class LegendrianInvariants:
+class LegendrianInvariants(NamedTuple):
     tb: int
     r: int
 
 
-@dataclass(frozen=True)
-class StabilizationSchedule:
+class _Schedule(NamedTuple):
+    up: int
+    down: int
+
+
+class StabilizationSchedule(_Schedule):
     """Counts of upward and downward zig-zags.
 
     Effect on invariants: tb -> tb - up - down, r -> r - up + down.
     """
 
-    up: int
-    down: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.up < 0 or self.down < 0:
+    def __new__(cls, up: int, down: int):
+        if up < 0 or down < 0:
             raise InvalidParams("schedule counts must be non-negative")
+        return tuple.__new__(cls, (up, down))
 
 
-@dataclass(frozen=True)
-class TorusKnotParams:
+class _TorusKnot(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if not (2 <= self.p < self.q):
-            raise InvalidParams(f"need 2 <= p < q, got ({self.p}, {self.q})")
-        if math.gcd(self.p, self.q) != 1:
-            raise InvalidParams(f"({self.p}, {self.q}) not coprime")
+
+class TorusKnotParams(_TorusKnot):
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int):
+        if not (2 <= p < q):
+            raise InvalidParams(f"need 2 <= p < q, got ({p}, {q})")
+        if math.gcd(p, q) != 1:
+            raise InvalidParams(f"({p}, {q}) not coprime")
+        return tuple.__new__(cls, (p, q))
 
     @property
     def l(self) -> int:
@@ -111,24 +123,46 @@ class TorusKnotParams:
         return (self.p - 1) * (self.q - 1) // 2
 
 
-@dataclass(frozen=True)
-class FrontDiagram:
-    events: tuple[FrontEvent, ...]
-    orientation_flips: frozenset[int] = field(default_factory=frozenset)
-    _threads: _Threads = field(init=False, repr=False, compare=False)
+class StrictRecord:
+    """A record that is not a tuple: equality, hash and repr go by the
+    attributes named in ``_key``, and an instance equals only instances of
+    its own type."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(
-            self, "orientation_flips", frozenset(self.orientation_flips)
-        )
+    __slots__ = ()
+    _key: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._key)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrontDiagram(StrictRecord):
+    """An event word and the components whose orientation it reverses,
+    traced once when built (see the module docstring)."""
+
+    __slots__ = ("events", "orientation_flips", "_threads")
+    _key = ("events", "orientation_flips")
+
+    def __init__(self, events, orientation_flips=frozenset()):
+        self.events: tuple[FrontEvent, ...] = tuple(events)
+        self.orientation_flips: frozenset[int] = frozenset(orientation_flips)
         if not self.events:
             raise EmptyDiagram("front has no events")
-        object.__setattr__(self, "_threads", _Threads(self))
+        self._threads = _Threads(self)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(StrictRecord):
     """One link component: its index and creating event.
 
     ``segments`` are its (gap, slot) pairs, sorted: gap g lies between
@@ -136,9 +170,13 @@ class Component:
     built on first read.
     """
 
-    index: int
-    created_at: int  # index of the left-cusp event that first creates it
-    _threads: _Threads = field(repr=False, compare=False)
+    __slots__ = ("index", "created_at", "_threads")
+    _key = ("index", "created_at")
+
+    def __init__(self, index: int, created_at: int, threads: _Threads):
+        self.index = index
+        self.created_at = created_at  # the left-cusp event that first creates it
+        self._threads = threads
 
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:

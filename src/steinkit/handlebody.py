@@ -4,12 +4,14 @@ A handlebody is recorded as a 1-handle count plus one record per 2-handle
 (tb, r, framing) together with the symmetric linking matrix. The Stein
 condition pins framing = tb - 1 on every 2-handle; with no 1-handles the
 rotation numbers form a characteristic vector of the linking form.
+The records are ``NamedTuple``s, and ``SteinKirbyData`` checks these
+conditions when built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import fronts, linalg
 from .brieskorn import BrieskornTriple, OrientedBrieskorn
@@ -22,54 +24,55 @@ from .errors import (
     MalformedToken,
     ParityViolation,
     ScheduleInfeasible,
+    brief,
 )
 
 
-@dataclass(frozen=True)
-class TwoHandle:
+class TwoHandle(NamedTuple):
     tb: int
     r: int
     framing: int
 
 
-@dataclass(frozen=True)
-class SteinKirbyData:
+class _Kirby(NamedTuple):
     one_handles: int
     two_handles: tuple[TwoHandle, ...]
     linking: tuple[tuple[int, ...], ...]  # symmetric, diagonal = framings
 
-    def __post_init__(self):
-        object.__setattr__(self, "two_handles", tuple(self.two_handles))
-        object.__setattr__(
-            self, "linking", tuple(tuple(row) for row in self.linking)
-        )
-        if self.one_handles < 0:
+
+class SteinKirbyData(_Kirby):
+    __slots__ = ()
+
+    def __new__(cls, one_handles: int, two_handles, linking):
+        two_handles = tuple(two_handles)
+        linking = tuple(tuple(row) for row in linking)
+        if one_handles < 0:
             raise InvalidParams("negative 1-handle count")
-        k = len(self.two_handles)
-        if len(self.linking) != k or any(len(row) != k for row in self.linking):
+        k = len(two_handles)
+        if len(linking) != k or any(len(row) != k for row in linking):
             raise AsymmetricLinking(
                 f"linking matrix shape does not match {k} 2-handles"
             )
-        for i, h in enumerate(self.two_handles):
+        for i, h in enumerate(two_handles):
             if h.framing != h.tb - 1:
                 raise FramingMismatch(
-                    f"handle {i}: framing {h.framing} != tb - 1 = {h.tb - 1}"
+                    f"handle {i}: framing {h.framing} != tb - 1 = {brief(h.tb - 1)}"
                 )
-            if self.linking[i][i] != h.framing:
+            if linking[i][i] != h.framing:
                 raise AsymmetricLinking(
-                    f"diagonal entry {self.linking[i][i]} != framing {h.framing}"
+                    f"diagonal entry {linking[i][i]} != framing {h.framing}"
                 )
             for j in range(i):
-                if self.linking[i][j] != self.linking[j][i]:
+                if linking[i][j] != linking[j][i]:
                     raise AsymmetricLinking(f"entries ({i},{j}) and ({j},{i}) differ")
-            if self.one_handles == 0 and (h.r - self.linking[i][i]) % 2 != 0:
+            if one_handles == 0 and (h.r - linking[i][i]) % 2 != 0:
                 raise ParityViolation(
                     f"handle {i}: r = {h.r} and framing {h.framing} differ in parity"
                 )
+        return tuple.__new__(cls, (one_handles, two_handles, linking))
 
 
-@dataclass(frozen=True)
-class FormAnalysis:
+class FormAnalysis(NamedTuple):
     chi: int
     b2: int
     det: int
@@ -78,11 +81,9 @@ class FormAnalysis:
     theta_boundary: int | None  # present iff no 1-handles and |det| = 1
 
 
-@dataclass(frozen=True)
-class NucleusData:
+class NucleusData(NamedTuple):
     kirby: SteinKirbyData
-    l: int
-    fiber_genus: int
+    fiber_genus: int  # l, where 2l = (p-1)(q-1)
     singular_fibers: int
     c1_pd: tuple[int, int]  # coefficients on the section and fiber classes
     c1_squared: int
@@ -122,9 +123,9 @@ def analyze(data: SteinKirbyData) -> FormAnalysis:
         c1_squared = None
     elif abs(det) == 1:
         if c1_squared.denominator != 1:
-            raise InvariantViolation(f"c1^2 = {c1_squared} on a unimodular form")
+            raise InvariantViolation(f"c1^2 = {brief(c1_squared)} on a unimodular form")
         if (c1_squared - sig) % 8 != 0:
-            raise InvariantViolation(f"c1^2 = {c1_squared} != sigma = {sig} mod 8")
+            raise InvariantViolation(f"c1^2 = {brief(c1_squared)} != sigma = {sig} mod 8")
         theta = int(c1_squared) - 2 * chi - 3 * sig
     return FormAnalysis(
         chi=chi, b2=k, det=det, signature=sig,
@@ -170,10 +171,9 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
     # section^2 = -n, fiber^2 = 0, section.fiber = 1.
     a, b = c1_pd
     if -n * a * a + 2 * a * b != c1_squared:
-        raise InvariantViolation(f"c1^2 = {c1_squared} disagrees with the pairing")
+        raise InvariantViolation(f"c1^2 = {brief(c1_squared)} disagrees with the pairing")
     return NucleusData(
         kirby=kirby,
-        l=l,
         fiber_genus=l,
         singular_fibers=n * p * q,
         c1_pd=c1_pd,

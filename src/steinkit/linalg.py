@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, brief
 
 
 def form(matrix, vector) -> tuple[int, int, Fraction | None]:
@@ -71,7 +71,7 @@ def form(matrix, vector) -> tuple[int, int, Fraction | None]:
                 entry = value // prev
                 if entry * prev != value:
                     raise InvariantViolation(
-                        f"Bareiss division {value} / {prev} is not exact"
+                        f"Bareiss division {brief(value)} / {brief(prev)} is not exact"
                     )
                 row[j] = m[j][i] = entry
         prev = pivot

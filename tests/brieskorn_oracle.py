@@ -140,10 +140,7 @@ def check_agreement(t) -> bool:
 
 def unchecked_triple(p1: int, p2: int, p3: int) -> BrieskornTriple:
     """A ``BrieskornTriple`` built past its validator, so it may share factors."""
-    t = object.__new__(BrieskornTriple)
-    for name, value in zip(("p1", "p2", "p3"), (p1, p2, p3)):
-        object.__setattr__(t, name, value)
-    return t
+    return tuple.__new__(BrieskornTriple, (p1, p2, p3))
 
 
 def _pairwise_coprime(ps) -> bool:

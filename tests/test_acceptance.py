@@ -114,7 +114,7 @@ class TestAcceptance:
             for n in (2, 3, 4):
                 data = handlebody.nucleus(p, q, n)
                 analysis = handlebody.analyze(data.kirby)
-                l = data.l
+                l = data.fiber_genus
                 assert analysis.det == -1
                 assert analysis.chi == 3
                 assert analysis.signature == 0

@@ -52,6 +52,20 @@ class TestTriples:
         ob = surgery_to_brieskorn(SurgeryDescription(2, 3, 1, 1))
         assert str(ob) == "-Sigma(2,3,5)"
 
+    def test_record_equality(self):
+        """A triple is a tuple record; an oriented sphere equals only its own type."""
+        t = BrieskornTriple(p1=2, p2=3, p3=5)
+        assert t == (2, 3, 5) and repr(t) == "BrieskornTriple(p1=2, p2=3, p3=5)"
+        ob = surgery_to_brieskorn(SurgeryDescription(p=2, q=3, n=1, sign=1))
+        assert ob == brieskorn.OrientedBrieskorn(t, -1)
+        assert hash(ob) == hash(brieskorn.OrientedBrieskorn(t, -1))
+        assert ob != (t, -1) and ob != brieskorn.OrientedBrieskorn(t, 1)
+        assert repr(ob) == "OrientedBrieskorn(triple=" + repr(t) + ", sign=-1)"
+        with pytest.raises(InvalidParams):
+            brieskorn.OrientedBrieskorn(t, 0)
+        with pytest.raises(InvalidParams):
+            SurgeryDescription(p=2, q=3, n=0, sign=1)
+
 
 class TestSeifertData:
     def test_spot_values(self):

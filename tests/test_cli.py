@@ -264,6 +264,29 @@ class TestTypedFailures:
         proc = run_process("handlebody", "analyze", str(path))
         self.assert_typed(proc, "MalformedToken")
 
+    def test_framing_mismatch_over_4300_digits(self, tmp_path):
+        """tb - 1 of a 4,300-digit tb has 4,301 digits; the message still prints."""
+        path = tmp_path / "big.kirby"
+        path.write_text(f"1-handles 0\nhandle tb=-{'9' * 4300} r=0 framing=0\n")
+        proc = run_process("handlebody", "analyze", str(path))
+        self.assert_typed(proc, "FramingMismatch")
+
     def test_negative_stabilization_count(self):
         proc = run_process("torus-knot", "2", "3", "--stabilize=-1,0")
         self.assert_typed(proc, "InvalidParams")
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    """The records are plain classes, so importing the CLI imports neither
+    ``dataclasses`` nor the ``inspect`` it pulls in."""
+    code = (
+        "import sys; before = set(sys.modules); import steinkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

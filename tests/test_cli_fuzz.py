@@ -4,15 +4,18 @@ Arbitrary bytes, and text built from the formats' own tokens, go into the
 file of ``front stats``, ``front stabilize`` and ``handlebody analyze``,
 with arbitrary ints for ``--component`` and ``--at``; arbitrary ints go on
 the argv of ``brieskorn invariants``, ``seifert`` and ``surgery`` and of
-``check prop-theta``, whose signature takes O(log pqr) steps, and of
+``check prop-theta``, whose signature takes O(log pqr) steps, of
 ``torus-knot``, with and without ``--stabilize``, whose event count is
-bounded before any work. Each run must exit 0, 1 or 2, print at most one
-stderr line on exits 0 and 1, and never raise out of ``main`` or print a
-traceback. ``nucleus`` is left out: its work grows with p*q and has no
-budget, so arbitrary ints would not finish.
+bounded before any work, of ``nucleus``, which does O(1) big-int work,
+and of ``sigma-sweep``, ``casson-harer`` and ``theta-survey``, whose row
+counts are bounded before any work. Each run must exit 0, 1 or 2, print
+at most one stderr line on exits 0 and 1, and never raise out of ``main``
+or print a traceback; the commands with a budget or O(1) work must also
+end within 5 s.
 """
 
 import contextlib
+import fractions
 import io
 import json
 import math
@@ -29,8 +32,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import brieskorn, cli, fronts
-from steinkit.errors import InvariantViolation
+from steinkit import brieskorn, cli, criteria, fronts, linalg
+from steinkit.errors import InvariantViolation, brief
 
 from test_fronts import front_diagrams
 
@@ -146,6 +149,79 @@ def test_torus_knot_typed_exit(argv, as_json):
     assert time.perf_counter() - start < 5
 
 
+BIG = 10**4300 - 1  # 4,300 digits, the most argparse reads
+# Around BIG, nucleus results have over 4,300 digits.
+WIDE_INT = st.one_of(ANY_INT, st.sampled_from([BIG - 2, BIG, -BIG]))
+SWEEP_ARGV = st.one_of(
+    st.builds(lambda *pqn: ["nucleus", *map(str, pqn)], WIDE_INT, WIDE_INT, WIDE_INT),
+    st.builds(
+        lambda name, pmax, nmax: ["brieskorn", name, "--pmax", str(pmax), "--nmax", str(nmax)],
+        st.sampled_from(["sigma-sweep", "casson-harer"]), WIDE_INT, WIDE_INT,
+    ),
+    st.builds(lambda bound: ["check", "theta-survey", "--bound", str(bound)], WIDE_INT),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=SWEEP_ARGV, as_json=st.booleans())
+def test_sweep_and_nucleus_typed_exit(argv, as_json):
+    """Sweeps over ``cli.WORK_BUDGET`` rows are refused before any work, and
+    ``nucleus`` does O(1) big-int work, so every example ends within 5 s."""
+    start = time.perf_counter()
+    run_main([*argv, *(["--json"] if as_json else [])])
+    assert time.perf_counter() - start < 5
+
+
+def test_brief():
+    """Numbers in error messages are formatted without int-to-str conversion
+    above 10**100, where the conversion limit could refuse them."""
+    assert brief(-12) == "-12"
+    assert brief(fractions.Fraction(6, 4)) == "3/2"
+    assert brief(fractions.Fraction(-4, 2)) == "-2"
+    assert brief(brieskorn.BrieskornTriple(2, 3, 7)) == "(2, 3, 7)"
+    huge = 10**5000
+    assert brief(-huge) == f"-<integer of {huge.bit_length()} bits>"
+    assert brief((2, fractions.Fraction(1, huge))) == (
+        f"(2, 1/<integer of {huge.bit_length()} bits>)"
+    )
+
+
+def run_main_code(argv):
+    """The exit status of ``main`` and its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_failed_cross_check_on_huge_nucleus(monkeypatch):
+    """c1^2 of nucleus(BIG - 2, BIG, 2) has about 17,200 digits. A failed
+    cross-check of it ends in exit 3 on one stderr line, not in the
+    ValueError of formatting it."""
+    form = linalg.form
+
+    def off_by_one(linking, rotation):
+        det, sig, c1_squared = form(linking, rotation)
+        return det, sig, c1_squared + 1
+
+    monkeypatch.setattr(linalg, "form", off_by_one)
+    code, out, err = run_main_code(["nucleus", str(BIG - 2), str(BIG), "2"])
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("InvariantViolation: c1^2 = ")
+
+
+def test_failed_cross_check_on_huge_embed_plan(monkeypatch):
+    """The stabilization schedule of ``check embed BIG - 2 BIG 1`` has over
+    8,000 digits; a failed check of it ends in exit 3 on one stderr line."""
+    monkeypatch.setattr(
+        criteria, "stabilize_invariants",
+        lambda inv, s: fronts.LegendrianInvariants(inv.tb - s.up - s.down + 1, inv.r),
+    )
+    code, out, err = run_main_code(["check", "embed", str(BIG - 2), str(BIG), "1"])
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("InvariantViolation: ")
+
+
 def test_failed_cross_check_on_huge_sigma(monkeypatch):
     """A signature off by 8 on a triple whose sigma has over 4,300 digits
     raises InvariantViolation, not the ValueError of formatting it, and
@@ -256,9 +332,6 @@ def test_results_over_4300_digits_print(as_json, no_int_str_limit):
     assert len(str(sigma)) > 4300
 
 
-BIG = 10**4300 - 1  # 4,300 digits, the most argparse reads
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -285,3 +358,26 @@ def test_sigma_sweep_row_budget():
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("WorkBudgetExceeded: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "theta-survey", "--bound", "3000"],
+        ["brieskorn", "casson-harer", "--pmax", "100000", "--nmax", "10000"],
+        ["brieskorn", "sigma-sweep", "--pmax", "100000", "--nmax", "0"],
+    ],
+    ids=["theta-survey", "casson-harer", "sigma-sweep-no-n"],
+)
+def test_sweeps_end_within_5s(argv):
+    """The first two once ran without bound and are now refused before any
+    work, on one line; a sweep with no n once enumerated every pair."""
+    start = time.perf_counter()
+    proc = run_process(*argv)
+    assert time.perf_counter() - start < 5
+    if argv[-1] == "0":
+        assert proc.returncode == 0 and proc.stdout == proc.stderr == ""
+    else:
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("WorkBudgetExceeded: ")

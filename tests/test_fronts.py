@@ -187,6 +187,26 @@ class TestStabilization:
         assert fronts.stabilize_invariants(inv, StabilizationSchedule(0, 0)) == inv
 
 
+class TestRecords:
+    def test_value_records_are_tuples(self):
+        assert LegendrianInvariants(tb=1, r=0) == (1, 0)
+        assert StabilizationSchedule(up=0, down=1) == (0, 1)
+        with pytest.raises(InvalidParams):
+            StabilizationSchedule(up=-1, down=0)
+        assert TorusKnotParams(q=3, p=2).l == 1
+
+    def test_diagram_and_component_equal_only_their_own_type(self):
+        d, again = fronts.parse_front(HOPF), fronts.parse_front(HOPF)
+        assert d == again and hash(d) == hash(again)
+        assert d != (d.events, d.orientation_flips)
+        assert d != fronts.parse_front(HOPF + "flip 1\n")
+        assert repr(d).startswith("FrontDiagram(events=(FrontEvent(kind='L', position=0)")
+        first, second = fronts.components(d)
+        assert first == fronts.components(again)[0] and first != second
+        assert first != (0, 0) and repr(first) == "Component(index=0, created_at=0)"
+        assert second.segments == fronts.components(again)[1].segments
+
+
 class TestReachable:
     def test_paper_schedule(self):
         s = fronts.reachable(LegendrianInvariants(1, 0), LegendrianInvariants(0, 1))
