@@ -17,6 +17,11 @@ conversion, so lines that can hold a big result are left for it to
 format: they are lazy iterables such as ``_table``'s, and an object such
 as an ``OrientedBrieskorn`` prints through ``str`` when it is rendered.
 
+Each command imports the layer modules it calls, inside its function, and
+``emit_json`` imports ``json``: a command is one short process, and most
+commands use one or two layers, so a process compiles and runs only the
+modules its command needs. ``build_parser`` imports no layer.
+
 Exit codes: 0 on success, 1 on domain errors (typed error name on stderr),
 2 on usage errors, 3 on a failed internal cross-check (``InvariantViolation``).
 """
@@ -25,12 +30,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
-from fractions import Fraction
 
-from . import brieskorn, criteria, fronts, handlebody
 from .errors import (
     DomainError, ExcludedCase, InvariantViolation, MalformedToken, WorkBudgetExceeded,
 )
@@ -62,8 +64,14 @@ def command(name: str, *arguments):
     return register
 
 
+def _is_fraction(value) -> bool:
+    """An exact rational that is not an ``int``, known without importing
+    ``fractions``."""
+    return not isinstance(value, int) and hasattr(value, "denominator")
+
+
 def _canonical(value):
-    if isinstance(value, Fraction):
+    if _is_fraction(value):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, dict):
         return {k: _canonical(v) for k, v in value.items()}
@@ -73,13 +81,14 @@ def _canonical(value):
 
 
 def emit_json(result) -> str:
+    import json
     return json.dumps(_canonical(result), sort_keys=True, default=str)
 
 
 def _format(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if _is_fraction(value) and value.denominator == 1:
         return str(value.numerator)
     if isinstance(value, dict):
         return "(" + ", ".join(f"{k}={_format(v)}" for k, v in value.items()) + ")"
@@ -122,11 +131,12 @@ def _schedule_table(payload: dict):
     return _table(payload if s is None else {**payload, "schedule": (s["up"], s["down"])})
 
 
-def _events(diagram: fronts.FrontDiagram) -> list[list]:
+def _events(diagram) -> list[list]:
     return [[ev.kind, ev.position] for ev in diagram.events]
 
 
-def _front_payload(diagram: fronts.FrontDiagram) -> dict:
+def _front_payload(diagram) -> dict:
+    from . import fronts
     comps = fronts.components(diagram)
     per_comp = [
         {"index": c.index, **_asdict(fronts.invariants(diagram, c.index))} for c in comps
@@ -152,7 +162,8 @@ def _coprime_pairs(bound: int):
                 yield p, q
 
 
-def _triple(args) -> brieskorn.BrieskornTriple:
+def _triple(args):
+    from . import brieskorn
     return brieskorn.BrieskornTriple(args.p1, args.p2, args.p3)
 
 
@@ -166,6 +177,7 @@ def _parse_schedule(text: str) -> tuple[int, int]:
 
 @command("front stats", ("file", {}))
 def _front_stats(args):
+    from . import fronts
     payload = _front_payload(fronts.parse_front(_read(args.file)))
     return payload, [
         f"components={len(payload['components'])}",
@@ -176,9 +188,10 @@ def _front_stats(args):
 
 @command(
     "front stabilize", ("file", {}), "--component",
-    ("--dir", {"choices": [fronts.UP, fronts.DOWN], "required": True}), "--at",
+    ("--dir", {"choices": ("up", "down"), "required": True}), "--at",
 )
 def _front_stabilize(args):
+    from . import fronts
     diagram = fronts.parse_front(_read(args.file))
     out = fronts.stabilize_diagram(diagram, args.component, args.dir, args.at)
     payload = {
@@ -192,6 +205,7 @@ def _front_stabilize(args):
 
 @command("torus-knot", "p", "q", ("--stabilize", {"type": _parse_schedule, "metavar": "a,b"}))
 def _torus_knot(args):
+    from . import fronts
     params = fronts.TorusKnotParams(args.p, args.q)
     schedule = None if args.stabilize is None else fronts.StabilizationSchedule(*args.stabilize)
     diagram = fronts.torus_knot_front(params, schedule)
@@ -203,6 +217,7 @@ def _torus_knot(args):
 
 @command("brieskorn invariants", "p1", "p2", "p3")
 def _brieskorn_invariants(args):
+    from . import brieskorn
     inv = brieskorn.milnor_invariants(_triple(args))
     payload = {"b2": inv.b2, "chi": inv.chi, "sigma": inv.sigma, "theta": inv.theta_boundary}
     # c1 is in the JSON only
@@ -211,11 +226,13 @@ def _brieskorn_invariants(args):
 
 @command("brieskorn seifert", "p1", "p2", "p3")
 def _brieskorn_seifert(args):
+    from . import brieskorn
     return _fields(brieskorn.seifert_data(_triple(args)))
 
 
 @command("brieskorn surgery", "p", "q", "n", ("sign", {}))
 def _brieskorn_surgery(args):
+    from . import brieskorn
     sign = {"+": 1, "+1": 1, "-": -1, "-1": -1}.get(args.sign)
     if sign is None:
         raise UsageExit(f"sign must be + or -, got {args.sign!r}")
@@ -227,6 +244,7 @@ def _brieskorn_surgery(args):
 
 @command("brieskorn sigma-sweep", "--pmax", "--nmax")
 def _sigma_sweep(args):
+    from . import brieskorn
     pmax, nmax = max(args.pmax, 0), max(args.nmax, 0)
     _check_rows(pmax * (pmax - 1) // 2 * nmax, f"--pmax {args.pmax} --nmax {args.nmax}")
     rows = []
@@ -241,6 +259,7 @@ def _sigma_sweep(args):
 
 @command("brieskorn casson-harer", "--pmax", "--nmax")
 def _casson_harer(args):
+    from . import brieskorn
     pmax, nmax = max(args.pmax, 0), max(args.nmax, 0)
     # at most two triples per (p, n)
     _check_rows(2 * pmax * nmax, f"--pmax {args.pmax} --nmax {args.nmax}")
@@ -253,11 +272,13 @@ def _casson_harer(args):
 
 @command("handlebody analyze", ("file", {}))
 def _handlebody_analyze(args):
+    from . import handlebody
     return _fields(handlebody.analyze(handlebody.parse_kirby(_read(args.file))))
 
 
 @command("nucleus", "p", "q", "n")
 def _nucleus(args):
+    from . import handlebody
     data = handlebody.nucleus(args.p, args.q, args.n)
     analysis = _fields(handlebody.analyze(data.kirby))
     head = _fields(data)
@@ -273,6 +294,7 @@ def _nucleus(args):
 
 @command("check hirz", "--tb", "--r", "--n", "--m")
 def _check_hirz(args):
+    from . import criteria, fronts
     inv0 = fronts.LegendrianInvariants(tb=args.tb, r=args.r)
     payload = _fields(criteria.hirz_check(criteria.HirzQuery(inv0=inv0, n=args.n, m=args.m)))
     return payload, _schedule_table(payload)
@@ -280,6 +302,7 @@ def _check_hirz(args):
 
 @command("check embed", "p", "q", "eps")
 def _check_embed(args):
+    from . import criteria
     plan = criteria.brieskorn_embed_plan(args.p, args.q, args.eps)
     payload = {
         "source": _asdict(plan.source),
@@ -294,22 +317,26 @@ def _check_embed(args):
 
 @command("check prop-theta", "p", "q", "eps")
 def _check_prop_theta(args):
+    from . import criteria
     return _fields(criteria.prop_theta_check(args.p, args.q, args.eps))
 
 
 @command("check cave", "--tb", "--r", "--k")
 def _check_cave(args):
+    from . import criteria, fronts
     inv = fronts.LegendrianInvariants(tb=args.tb, r=args.r)
     return _fields(criteria.cave_check(inv, args.k))
 
 
 @command("check flip", "--r0", "--up", "--down", "--target")
 def _check_flip(args):
+    from . import criteria
     return _fields(criteria.flip_reach(args.r0, args.up, args.down, args.target))
 
 
 @command("check slice", "--tb", "--r", "--g")
 def _check_slice(args):
+    from . import criteria, fronts
     inv = fronts.LegendrianInvariants(tb=args.tb, r=args.r)
     return {"satisfied": criteria.slice_genus_check(inv, args.g)}
 
@@ -317,6 +344,7 @@ def _check_slice(args):
 @command("check theta-survey", "--bound")
 def _check_theta_survey(args):
     """``check prop-theta`` for eps = +1 then -1 over coprime 2 <= p < q <= bound."""
+    from . import criteria
     bound = max(args.bound, 0)
     _check_rows(bound * (bound - 1), f"--bound {args.bound}")
     rows, excluded = [], []

@@ -188,12 +188,12 @@ def parse_kirby(text: str) -> SteinKirbyData:
     """Parse the kirby file format.
 
     ``1-handles <n>``, then ``handle tb=<int> r=<int> framing=<int>`` lines,
-    then ``lk <i> <j> <int>`` lines for i < j; ``#`` starts a comment.
-    Diagonal linking entries are implied by the framings.
+    then ``lk <i> <j> <int>`` lines for i < j, at most one per pair; ``#``
+    starts a comment. Diagonal linking entries are implied by the framings.
     """
     one_handles = None
     handles: list[TwoHandle] = []
-    links: list[tuple[int, int, int]] = []
+    links: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -217,7 +217,9 @@ def parse_kirby(text: str) -> SteinKirbyData:
             i, j, value = (fronts._int_token(t, lineno) for t in parts[1:])
             if not 0 <= i < j:
                 raise MalformedToken(f"line {lineno}: need 0 <= i < j")
-            links.append((i, j, value))
+            if (i, j) in links:
+                raise MalformedToken(f"line {lineno}: duplicate lk {i} {j} line")
+            links[i, j] = value
         else:
             raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
     if one_handles is None:
@@ -226,7 +228,7 @@ def parse_kirby(text: str) -> SteinKirbyData:
     linking = [[0] * k for _ in range(k)]
     for i in range(k):
         linking[i][i] = handles[i].framing
-    for i, j, value in links:
+    for (i, j), value in links.items():
         if j >= k:
             raise MalformedToken(f"lk {i} {j} out of range for {k} handles")
         linking[i][j] = linking[j][i] = value

@@ -1,5 +1,6 @@
 """CLI contract tests: output shapes, determinism and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -271,22 +272,101 @@ class TestTypedFailures:
         proc = run_process("handlebody", "analyze", str(path))
         self.assert_typed(proc, "FramingMismatch")
 
+    def test_repeated_lk_pair(self, tmp_path):
+        path = tmp_path / "twice.kirby"
+        path.write_text(
+            "1-handles 0\nhandle tb=1 r=0 framing=0\nhandle tb=-1 r=0 framing=-2\n"
+            "lk 0 1 1\nlk 0 1 7\n"
+        )
+        proc = run_process("handlebody", "analyze", str(path))
+        self.assert_typed(proc, "MalformedToken")
+        assert proc.stderr == "MalformedToken: line 5: duplicate lk 0 1 line\n"
+
     def test_negative_stabilization_count(self):
         proc = run_process("torus-knot", "2", "3", "--stabilize=-1,0")
         self.assert_typed(proc, "InvalidParams")
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
-    """The records are plain classes, so importing the CLI imports neither
-    ``dataclasses`` nor the ``inspect`` it pulls in."""
-    code = (
-        "import sys; before = set(sys.modules); import steinkit.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+def loaded_by(code):
+    """The modules that ``code`` loads in a fresh interpreter, past those
+    loaded at start-up. ``code`` may print; the list is the last line."""
+    probe = f"import sys\nbefore = set(sys.modules)\n{code}\n" + (
+        "print(*sorted(set(sys.modules) - before))"
     )
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-c", probe], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+LAYERS = {f"steinkit.{m}" for m in ("brieskorn", "criteria", "fronts", "handlebody", "linalg")}
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    """The records are plain classes, so importing the CLI imports neither
+    ``dataclasses`` nor the ``inspect`` it pulls in; and each command imports
+    its own layers, so importing the CLI and building its parser imports no
+    layer module, nor ``json``, ``fractions`` or ``decimal``."""
+    loaded = loaded_by("import steinkit.cli; steinkit.cli.build_parser()")
+    assert "steinkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "fractions", "decimal", *LAYERS}
+
+
+@pytest.mark.parametrize(
+    "argv, present, absent",
+    [
+        (["front", "stats", "{front}"], {"steinkit.fronts"},
+         LAYERS - {"steinkit.fronts"} | {"fractions", "json"}),
+        (["torus-knot", "2", "3"], {"steinkit.fronts"},
+         LAYERS - {"steinkit.fronts"} | {"fractions", "json"}),
+        (["brieskorn", "invariants", "2", "3", "5"], {"steinkit.brieskorn"},
+         LAYERS - {"steinkit.brieskorn", "steinkit.fronts"} | {"fractions", "json"}),
+        (["brieskorn", "invariants", "2", "3", "5", "--json"], {"steinkit.brieskorn", "json"},
+         LAYERS - {"steinkit.brieskorn", "steinkit.fronts"} | {"fractions"}),
+    ],
+    ids=["front-stats", "torus-knot", "brieskorn-table", "brieskorn-json"],
+)
+def test_command_imports_only_its_layers(tmp_path, argv, present, absent):
+    front = tmp_path / "u.front"
+    front.write_text("L 0\nR 0\n", encoding="utf-8")
+    argv = [a.format(front=front) for a in argv]
+    loaded = loaded_by(f"from steinkit import cli; assert cli.main({argv!r}) == 0")
+    assert present <= loaded
+    assert not loaded & absent
+
+
+def test_package_layers_are_lazy_attributes():
+    """``import steinkit`` loads no layer; reading one as an attribute
+    imports the module itself."""
+    code = (
+        "import steinkit\n"
+        "assert not any(m.startswith('steinkit.') for m in sys.modules)\n"
+        "names = ('brieskorn', 'criteria', 'errors', 'fronts', 'handlebody', 'linalg')\n"
+        "for name in names:\n"
+        "    assert getattr(steinkit, name) is sys.modules[f'steinkit.{name}'], name"
+    )
+    assert LAYERS | {"steinkit", "steinkit.errors"} <= loaded_by(code)
+
+
+def test_package_unknown_attribute():
+    import steinkit
+
+    with pytest.raises(AttributeError, match="nope"):
+        steinkit.nope
+
+
+def test_dir_choices_are_the_front_constants():
+    """``build_parser`` spells the ``--dir`` choices out, so as not to import
+    ``fronts``; they must stay ``fronts.UP`` and ``fronts.DOWN``."""
+    from steinkit import fronts
+
+    def sub(parser, name):
+        (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices[name]
+
+    stabilize = sub(sub(cli.build_parser(), "front"), "stabilize")
+    (action,) = (a for a in stabilize._actions if a.dest == "dir")
+    assert tuple(action.choices) == (fronts.UP, fronts.DOWN)

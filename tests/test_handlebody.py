@@ -243,6 +243,13 @@ class TestKirbyFiles:
         with pytest.raises(MalformedToken):
             handlebody.parse_kirby("1-handles 0\nlk 1 0 1\n")
 
+    def test_repeated_lk_pair(self):
+        """A second line for the same pair is refused, not a silent override."""
+        text = "1-handles 0\nhandle tb=1 r=0 framing=0\nhandle tb=-1 r=0 framing=-2\n"
+        assert handlebody.parse_kirby(text + "lk 0 1 7\n").linking[0][1] == 7
+        with pytest.raises(MalformedToken, match="line 5: duplicate lk 0 1"):
+            handlebody.parse_kirby(text + "lk 0 1 1\nlk 0 1 7\n")
+
     @pytest.mark.parametrize(
         "line",
         [
