@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DegenerateThirdMultiplicity, InvalidParams, InvariantViolation, brief
+from .errors import InvalidParams, InvariantViolation, brief
 from .fronts import StrictRecord, TorusKnotParams
 
 
@@ -81,6 +81,15 @@ class MilnorInvariants(NamedTuple):
     c1: int = 0
 
 
+def _check_pqn(p: int, q: int, n: int) -> TorusKnotParams:
+    """The one check of the (p, q, n) that +-1/n surgery on T(p, q) and
+    its closed forms take."""
+    params = TorusKnotParams(p, q)
+    if n < 1:
+        raise InvalidParams(f"n must be positive, got {n}")
+    return params
+
+
 class _Surgery(NamedTuple):
     p: int
     q: int
@@ -94,9 +103,7 @@ class SurgeryDescription(_Surgery):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int, n: int, sign: int):
-        TorusKnotParams(p, q)
-        if n < 1:
-            raise InvalidParams(f"n must be positive, got {n}")
+        _check_pqn(p, q, n)
         if sign not in (1, -1):
             raise InvalidParams(f"sign must be +-1, got {sign}")
         return tuple.__new__(cls, (p, q, n, sign))
@@ -141,12 +148,10 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
 
 
 def surgery_to_brieskorn(s: SurgeryDescription) -> OrientedBrieskorn:
-    """+1/n surgery on T(p,q) yields -Sigma(p,q,npq-1); -1/n yields +Sigma(p,q,npq+1)."""
+    """+1/n surgery on T(p,q) yields -Sigma(p,q,npq-1); -1/n yields +Sigma(p,q,npq+1).
+
+    A valid description has pq >= 6 and n >= 1, so npq -+ 1 >= 5."""
     third = s.n * s.p * s.q - s.sign
-    if third < 2:
-        raise DegenerateThirdMultiplicity(
-            f"third multiplicity {third} for {s}"
-        )
     return OrientedBrieskorn(
         triple=BrieskornTriple(s.p, s.q, third), sign=-s.sign
     )
@@ -219,13 +224,6 @@ def theta_closed_form(p: int, q: int, n: int) -> int:
     return value
 
 
-def _check_pqn(p: int, q: int, n: int) -> TorusKnotParams:
-    params = TorusKnotParams(p, q)
-    if n < 1:
-        raise InvalidParams(f"n must be positive, got {n}")
-    return params
-
-
 def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
     """b2, chi, sigma and boundary theta of the Milnor fiber of ``t``.
 
@@ -278,8 +276,6 @@ def casson_harer_families(p_max: int, n_max: int) -> list[BrieskornTriple]:
                 raw.add(tuple(sorted((p, n * p - 1, n * p + 1))))
     out = []
     for entry in sorted(raw):
-        if entry[0] < 2:
-            continue
         try:
             out.append(BrieskornTriple(*entry))
         except InvalidParams:

@@ -296,7 +296,7 @@ def _nucleus(args):
 def _check_hirz(args):
     from . import criteria, fronts
     inv0 = fronts.LegendrianInvariants(tb=args.tb, r=args.r)
-    payload = _fields(criteria.hirz_check(criteria.HirzQuery(inv0=inv0, n=args.n, m=args.m)))
+    payload = _fields(criteria.hirz_check(inv0, args.n, args.m))
     return payload, _schedule_table(payload)
 
 

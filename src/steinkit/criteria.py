@@ -3,8 +3,8 @@
 All checks work at the level of (tb, r) pairs: the hypotheses quantify over
 Legendrian representatives, so a caller supplies a known representative
 (e.g. via ``fronts.invariants``) and the procedures decide whether zig-zag
-stabilization reaches the required target. Queries and verdicts are
-``NamedTuple`` records.
+stabilization reaches the required target. Each check takes its inputs
+as arguments and returns a verdict, a ``NamedTuple`` record or a bool.
 """
 
 from __future__ import annotations
@@ -24,15 +24,6 @@ from .fronts import (
 # Intersection forms of the two pieces into which a brieskorn_embed_plan
 # splits the ruled surface; every plan has the same two.
 SPLIT_FORMS = ("<+1>", "<-1>")
-
-
-class HirzQuery(NamedTuple):
-    """Can the n-framed handlebody on a knot with Legendrian representative
-    ``inv0`` embed in the ruled surface of parity ``m`` as a section?"""
-
-    inv0: LegendrianInvariants
-    n: int
-    m: int
 
 
 class HirzVerdict(NamedTuple):
@@ -65,14 +56,15 @@ class FlipVerdict(NamedTuple):
     flips: int | None
 
 
-def hirz_check(query: HirzQuery) -> HirzVerdict:
-    """Section embedding criterion: parity m = n mod 2 plus a Legendrian
+def hirz_check(inv0: LegendrianInvariants, n: int, m: int) -> HirzVerdict:
+    """Can the n-framed handlebody on a knot with Legendrian representative
+    ``inv0`` embed in the ruled surface of parity ``m`` as a section?
+
+    Section embedding criterion: parity m = n mod 2 plus a Legendrian
     representative with tb = n + 1 and r = n + 2."""
-    if (query.m - query.n) % 2 != 0:
+    if (m - n) % 2 != 0:
         return HirzVerdict(embeddable=False, schedule=None)
-    schedule = reachable(
-        query.inv0, LegendrianInvariants(tb=query.n + 1, r=query.n + 2)
-    )
+    schedule = reachable(inv0, LegendrianInvariants(tb=n + 1, r=n + 2))
     return HirzVerdict(embeddable=schedule is not None, schedule=schedule)
 
 
@@ -155,8 +147,7 @@ def flip_reach(r0: int, up: int, down: int, r_target: int) -> FlipVerdict:
     Flipping one up zig-zag to down changes r by +2; down to up by -2, so
     the reachable values are r0 - 2*down .. r0 + 2*up in steps of 2.
     """
-    if up < 0 or down < 0:
-        raise InvalidParams("zig-zag counts must be non-negative")
+    StabilizationSchedule(up, down)  # validates the counts
     delta = r_target - r0
     if delta % 2 != 0 or not -2 * down <= delta <= 2 * up:
         return FlipVerdict(feasible=False, flips=None)

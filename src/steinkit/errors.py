@@ -68,11 +68,7 @@ class InvalidParams(DomainError):
     pass
 
 
-# Brieskorn / Milnor
-
-class DegenerateThirdMultiplicity(DomainError):
-    pass
-
+# budgets
 
 class WorkBudgetExceeded(DomainError):
     pass
@@ -93,8 +89,4 @@ class ParityViolation(DomainError):
 
 
 class ExcludedCase(DomainError):
-    pass
-
-
-class ScheduleInfeasible(DomainError):
     pass

@@ -15,9 +15,9 @@ is stored. All arithmetic is exact integer arithmetic. An event is a plain
 
 Records. Value records are ``NamedTuple``s, so they compare equal to plain
 tuples; ``StabilizationSchedule`` and ``TorusKnotParams`` check their
-entries when built. ``FrontDiagram`` and ``Component`` carry the trace, so
-they are ``StrictRecord``s instead: ``__slots__`` classes, equal only to
-their own type, compared by everything but the trace.
+entries when built. ``FrontDiagram`` holds its trace, and a ``Component``
+refers to its diagram, so they are ``StrictRecord``s instead: ``__slots__``
+classes, equal only to their own type, compared by everything but the trace.
 
 Orientation convention: each component is canonically oriented so that the
 upper strand of its first-created left cusp points rightward; components
@@ -36,8 +36,8 @@ creating left cusp) and every arc's direction. One pass over the recorded
 crossings and cusps then gives every tb, every r and the whole linking
 matrix; ``components``, ``invariants`` and ``linking_number`` only look
 them up. The (gap, slot) segments of a component, which index
-``stabilize_diagram``'s insertion points, take one more sweep and are built
-only when asked for.
+``stabilize_diagram``'s insertion points, take one replay of the strand
+heights and are built only when asked for.
 """
 
 from __future__ import annotations
@@ -151,7 +151,12 @@ class FrontDiagram(StrictRecord):
     """An event word and the components whose orientation it reverses,
     traced once when built (see the module docstring)."""
 
-    __slots__ = ("events", "orientation_flips", "_threads")
+    __slots__ = (
+        "events", "orientation_flips",
+        # the trace: per component, per crossing and per arc
+        "_created_at", "_invariants", "_linking", "_crossing_signs",
+        "_comp", "_sign", "_segment_cache",
+    )
     _key = ("events", "orientation_flips")
 
     def __init__(self, events, orientation_flips=frozenset()):
@@ -159,59 +164,7 @@ class FrontDiagram(StrictRecord):
         self.orientation_flips: frozenset[int] = frozenset(orientation_flips)
         if not self.events:
             raise EmptyDiagram("front has no events")
-        self._threads = _Threads(self)
 
-
-class Component(StrictRecord):
-    """One link component: its index and creating event.
-
-    ``segments`` are its (gap, slot) pairs, sorted: gap g lies between
-    events g-1 and g, and slot 0 is the topmost strand in that gap. They are
-    built on first read.
-    """
-
-    __slots__ = ("index", "created_at", "_threads")
-    _key = ("index", "created_at")
-
-    def __init__(self, index: int, created_at: int, threads: _Threads):
-        self.index = index
-        self.created_at = created_at  # the left-cusp event that first creates it
-        self._threads = threads
-
-    @property
-    def segments(self) -> tuple[tuple[int, int], ...]:
-        return self._threads.segments(self.index)[0]
-
-
-def _sweep(events):
-    """Replay an event word that ``_Threads`` has validated: yield ``(event
-    index, kind, upper arc, lower arc, heights)`` per event, where the arcs
-    are the two the event touches (before a crossing swaps them) and
-    ``heights`` lists the arc at each strand height after the event. Arcs
-    are numbered 0, 1, 2, ... in the order their left cusps create them,
-    upper arc first. The same list is yielded each time, updated in place."""
-    heights: list[int] = []
-    arcs = 0
-    for g, ev in enumerate(events):
-        i = ev.position
-        if ev.kind == LEFT_CUSP:
-            a, b = arcs, arcs + 1
-            arcs += 2
-            heights[i:i] = (a, b)
-        else:
-            a, b = heights[i], heights[i + 1]
-            if ev.kind == RIGHT_CUSP:
-                del heights[i : i + 2]
-            else:
-                heights[i], heights[i + 1] = b, a
-        yield g, ev.kind, a, b, heights
-
-
-class _Threads:
-    """Components, orientations and invariants of one diagram, from one
-    sweep over its events (see the module docstring)."""
-
-    def __init__(self, diagram: FrontDiagram):
         parent: list[int] = []  # union-find forest over arcs
         parity: list[int] = []  # 1 if an arc runs opposite to its parent
         size: list[int] = []
@@ -236,12 +189,14 @@ class _Threads:
             parity[rb] = pa ^ pb ^ 1
             size[ra] += size[rb]
 
-        # ``_sweep`` inlined, and the only check of event kinds and positions.
+        # The sweep, and the only check of event kinds and positions. Arcs
+        # are numbered 0, 1, 2, ... as their left cusps create them, upper
+        # arc first.
         heights: list[int] = []  # the arc at each strand height
         lefts: list[tuple[int, int]] = []  # (event index, upper arc)
         rights: list[int] = []  # upper arc
         crossings: list[tuple[int, int]] = []  # (upper arc, lower arc)
-        for g, (kind, i) in enumerate(diagram.events):
+        for g, (kind, i) in enumerate(self.events):
             strands = len(heights)
             if kind == LEFT_CUSP:
                 if not 0 <= i <= strands:
@@ -276,27 +231,27 @@ class _Threads:
         roots = [find(a) for a in range(len(parent))]
         comp_of_root: dict[int, int] = {}
         sign_of_root: dict[int, int] = {}
-        self.created_at: list[int] = []
+        created_at: list[int] = []
         for g, a in lefts:
             root, p = roots[a]
             if root not in comp_of_root:
-                comp_of_root[root] = len(self.created_at)
+                comp_of_root[root] = len(created_at)
                 sign_of_root[root] = -1 if p else 1
-                self.created_at.append(g)
-        k = len(self.created_at)
-        for c in diagram.orientation_flips:
+                created_at.append(g)
+        k = len(created_at)
+        for c in self.orientation_flips:
             if not 0 <= c < k:
                 raise ComponentOutOfRange(f"flip {c} with {k} components")
         for root, c in comp_of_root.items():
-            if c in diagram.orientation_flips:
+            if c in self.orientation_flips:
                 sign_of_root[root] = -sign_of_root[root]
         comp = [comp_of_root[root] for root, _p in roots]
         sign = [-sign_of_root[root] if p else sign_of_root[root] for root, p in roots]
 
         # One pass over crossings and cusps gives every tb, r and lk.
         signed = [[0] * k for _ in range(k)]  # by (upper, lower) component
-        self.crossing_signs = tuple(sign[a] * sign[b] for a, b in crossings)
-        for (a, b), s in zip(crossings, self.crossing_signs):
+        crossing_signs = tuple(sign[a] * sign[b] for a, b in crossings)
+        for (a, b), s in zip(crossings, crossing_signs):
             signed[comp[a]][comp[b]] += s
         # A left cusp is traversed downward iff its upper arc points
         # leftward; a right cusp iff its upper arc points rightward.
@@ -307,16 +262,16 @@ class _Threads:
             left_cusps[comp[u]] += 1
         for u in rights:
             twice_r[comp[u]] += sign[u]
-        self.invariants: list[LegendrianInvariants] = []
+        invariants: list[LegendrianInvariants] = []
         for c in range(k):
             if twice_r[c] % 2 != 0:
                 raise InvariantViolation(
                     f"component {c}: odd signed cusp count {twice_r[c]}"
                 )
-            self.invariants.append(LegendrianInvariants(
+            invariants.append(LegendrianInvariants(
                 tb=signed[c][c] - left_cusps[c], r=twice_r[c] // 2
             ))
-        self.linking = [[0] * k for _ in range(k)]
+        linking = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i + 1, k):
                 lk2 = signed[i][j] + signed[j][i]
@@ -324,42 +279,72 @@ class _Threads:
                     raise InvariantViolation(
                         f"odd inter-component crossing count {lk2}"
                     )
-                self.linking[i][j] = self.linking[j][i] = lk2 // 2
+                linking[i][j] = linking[j][i] = lk2 // 2
 
-        self._events = diagram.events
+        self._created_at = created_at
+        self._invariants = invariants
+        self._linking = linking
+        self._crossing_signs = crossing_signs
         self._comp = comp
-        self.sign = sign
-        self._segments: dict[int, tuple[tuple[tuple[int, int], ...], list[int]]] = {}
+        self._sign = sign
+        self._segment_cache: dict[int, tuple[tuple[tuple[int, int], ...], list[int]]] = {}
 
-    def segments(self, c: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    def _segments(self, c: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
         """Sorted (gap, slot) segments of component ``c`` and the arc on
-        each; built by one more sweep on first request."""
-        if c not in self._segments:
+        each; built on first request by replaying the strand heights, with
+        arcs numbered as the trace sweep numbers them."""
+        if c not in self._segment_cache:
             comp = self._comp
             segs: list[tuple[int, int]] = []
             arcs: list[int] = []
-            for g, _kind, _a, _b, heights in _sweep(self._events):
+            heights: list[int] = []
+            created = 0
+            for g, (kind, i) in enumerate(self.events):
+                if kind == LEFT_CUSP:
+                    heights[i:i] = (created, created + 1)
+                    created += 2
+                elif kind == RIGHT_CUSP:
+                    del heights[i : i + 2]
+                else:
+                    heights[i], heights[i + 1] = heights[i + 1], heights[i]
                 for slot, arc in enumerate(heights):
                     if comp[arc] == c:
                         segs.append((g + 1, slot))
                         arcs.append(arc)
-            self._segments[c] = (tuple(segs), arcs)
-        return self._segments[c]
+            self._segment_cache[c] = (tuple(segs), arcs)
+        return self._segment_cache[c]
+
+
+class Component(StrictRecord):
+    """One link component: its index and creating event.
+
+    ``segments`` are its (gap, slot) pairs, sorted: gap g lies between
+    events g-1 and g, and slot 0 is the topmost strand in that gap. They are
+    built on first read.
+    """
+
+    __slots__ = ("index", "created_at", "_diagram")
+    _key = ("index", "created_at")
+
+    def __init__(self, index: int, created_at: int, diagram: FrontDiagram):
+        self.index = index
+        self.created_at = created_at  # the left-cusp event that first creates it
+        self._diagram = diagram
+
+    @property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        return self._diagram._segments(self.index)[0]
 
 
 def components(diagram: FrontDiagram) -> list[Component]:
     """Components in canonical order (earliest creating event first)."""
-    tr = diagram._threads
-    return [Component(c, g, tr) for c, g in enumerate(tr.created_at)]
+    return [Component(c, g, diagram) for c, g in enumerate(diagram._created_at)]
 
 
-def _check_component(diagram: FrontDiagram, c: int) -> _Threads:
-    tr = diagram._threads
-    if not 0 <= c < len(tr.created_at):
-        raise ComponentOutOfRange(
-            f"component {c} with {len(tr.created_at)} components"
-        )
-    return tr
+def _check_component(diagram: FrontDiagram, c: int) -> None:
+    k = len(diagram._created_at)
+    if not 0 <= c < k:
+        raise ComponentOutOfRange(f"component {c} with {k} components")
 
 
 def invariants(diagram: FrontDiagram, c: int) -> LegendrianInvariants:
@@ -370,16 +355,17 @@ def invariants(diagram: FrontDiagram, c: int) -> LegendrianInvariants:
     orientation signs (+1 rightward). r is half the signed cusp count,
     counting a cusp positively when traversed downward.
     """
-    return _check_component(diagram, c).invariants[c]
+    _check_component(diagram, c)
+    return diagram._invariants[c]
 
 
 def linking_number(diagram: FrontDiagram, c1: int, c2: int) -> int:
     """Half the signed count of crossings between two distinct components."""
     if c1 == c2:
         raise SameComponent(f"component {c1} given twice")
-    tr = _check_component(diagram, c1)
+    _check_component(diagram, c1)
     _check_component(diagram, c2)
-    return tr.linking[c1][c2]
+    return diagram._linking[c1][c2]
 
 
 def stabilize_invariants(
@@ -422,14 +408,14 @@ def stabilize_diagram(
     """
     if direction not in (UP, DOWN):
         raise InvalidParams(f"direction must be 'up' or 'down', got {direction!r}")
-    tr = _check_component(diagram, c)
-    segments, arcs = tr.segments(c)
+    _check_component(diagram, c)
+    segments, arcs = diagram._segments(c)
     if not 0 <= at < len(segments):
         raise InvalidInsertionPoint(
             f"insertion point {at} with {len(segments)} segments"
         )
     gap, slot = segments[at]
-    rightward = tr.sign[arcs[at]] > 0
+    rightward = diagram._sign[arcs[at]] > 0
     # On a rightward strand a down zig-zag dips below (left cusp under the
     # strand, right cusp merging into it); on a leftward strand the roles swap.
     if (direction == DOWN) == rightward:

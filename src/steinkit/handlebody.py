@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import fronts, linalg
-from .brieskorn import BrieskornTriple, OrientedBrieskorn
+from .brieskorn import OrientedBrieskorn, SurgeryDescription, surgery_to_brieskorn
 from .errors import (
     AsymmetricLinking,
     ExcludedCase,
@@ -23,7 +23,6 @@ from .errors import (
     InvariantViolation,
     MalformedToken,
     ParityViolation,
-    ScheduleInfeasible,
     brief,
 )
 
@@ -105,11 +104,7 @@ def from_front(diagram: fronts.FrontDiagram) -> SteinKirbyData:
         for j in range(i + 1, k):
             lk = fronts.linking_number(diagram, i, j)
             linking[i][j] = linking[j][i] = lk
-    return SteinKirbyData(
-        one_handles=0,
-        two_handles=tuple(handles),
-        linking=tuple(tuple(row) for row in linking),
-    )
+    return SteinKirbyData(one_handles=0, two_handles=handles, linking=linking)
 
 
 def analyze(data: SteinKirbyData) -> FormAnalysis:
@@ -139,18 +134,17 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
     For n >= 2 this is the handlebody on T(p,q) with framing 0 plus a
     -n-framed Legendrian meridian; for n = 1 the section is blown down,
     leaving a single +1-framed handle on T(p,q). The boundary is
-    -Sigma(p, q, npq - 1).
+    -Sigma(p, q, npq - 1), the result of +1/n surgery on T(p,q).
     """
+    boundary = surgery_to_brieskorn(SurgeryDescription(p, q, n, 1))
     l = fronts.TorusKnotParams(p, q).l
-    if n < 1:
-        raise InvalidParams(f"n must be positive, got {n}")
     if n == 1:
+        # tb = 2 is 2l - 3 up zig-zags below the maximal tb = 2l - 1 of
+        # T(p,q), and every valid (p, q) but (2, 3) has l >= 2
         if (p, q) == (2, 3):
             raise ExcludedCase(
                 "Sigma(2,3,5) admits no negative tight contact structure"
             )
-        if 2 * l - 3 < 0:
-            raise ScheduleInfeasible(f"2l - 3 = {2 * l - 3} < 0")
         kirby = SteinKirbyData(
             one_handles=0,
             two_handles=(TwoHandle(tb=2, r=3 - 2 * l, framing=1),),
@@ -178,9 +172,7 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
         singular_fibers=n * p * q,
         c1_pd=c1_pd,
         c1_squared=c1_squared,
-        boundary=OrientedBrieskorn(
-            triple=BrieskornTriple(p, q, n * p * q - 1), sign=-1
-        ),
+        boundary=boundary,
     )
 
 
@@ -232,11 +224,7 @@ def parse_kirby(text: str) -> SteinKirbyData:
         if j >= k:
             raise MalformedToken(f"lk {i} {j} out of range for {k} handles")
         linking[i][j] = linking[j][i] = value
-    return SteinKirbyData(
-        one_handles=one_handles,
-        two_handles=tuple(handles),
-        linking=tuple(tuple(row) for row in linking),
-    )
+    return SteinKirbyData(one_handles=one_handles, two_handles=handles, linking=linking)
 
 
 def serialize_kirby(data: SteinKirbyData) -> str:

@@ -97,6 +97,15 @@ class TestSurgery:
             brieskorn.OrientedBrieskorn(BrieskornTriple(2, 5, 19), -1)
         )
 
+    def test_third_multiplicity_at_least_5(self):
+        """pq >= 6 and n >= 1, so npq -+ 1 >= 5 for every valid description."""
+        for p, q in coprime_pairs(30):
+            for n in range(1, 6):
+                for sign in (1, -1):
+                    ob = surgery_to_brieskorn(SurgeryDescription(p, q, n, sign))
+                    assert ob.triple == (p, q, n * p * q - sign)
+                    assert ob.triple.p3 >= 5 and ob.sign == -sign
+
 
 class TestSigmaLattice:
     def test_poincare_sphere(self):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steinkit import brieskorn, criteria, fronts, handlebody
-from steinkit.criteria import HirzQuery
 from steinkit.errors import ExcludedCase, InvalidParams, InvariantViolation
 from steinkit.fronts import LegendrianInvariants, StabilizationSchedule
 
@@ -36,18 +35,39 @@ def test_torus_knot_params_checked_in_one_place(p, q):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_surgery_params_checked_in_one_place(n):
+    """Every (p, q, n) taker rejects n < 1 with one message, and flip_reach
+    rejects negative counts through StabilizationSchedule."""
+    with pytest.raises(InvalidParams) as want:
+        brieskorn.SurgeryDescription(2, 3, n, 1)
+    for call in (
+        lambda: brieskorn.sigma_closed_form(2, 3, n),
+        lambda: brieskorn.theta_closed_form(2, 3, n),
+        lambda: handlebody.nucleus(2, 3, n),
+    ):
+        with pytest.raises(InvalidParams) as got:
+            call()
+        assert str(got.value) == str(want.value) == f"n must be positive, got {n}"
+    with pytest.raises(InvalidParams) as want:
+        StabilizationSchedule(0, -1)
+    with pytest.raises(InvalidParams) as got:
+        criteria.flip_reach(0, -1, 1, 0)
+    assert str(got.value) == str(want.value)
+
+
 class TestHirz:
     def test_trefoil_section(self):
-        v = criteria.hirz_check(HirzQuery(LegendrianInvariants(1, 0), n=-1, m=1))
+        v = criteria.hirz_check(LegendrianInvariants(1, 0), n=-1, m=1)
         assert v.embeddable
         assert v.schedule == StabilizationSchedule(0, 1)
 
     def test_unreachable_target(self):
-        v = criteria.hirz_check(HirzQuery(LegendrianInvariants(1, 0), n=1, m=1))
+        v = criteria.hirz_check(LegendrianInvariants(1, 0), n=1, m=1)
         assert not v.embeddable
 
     def test_parity_obstruction(self):
-        v = criteria.hirz_check(HirzQuery(LegendrianInvariants(1, 0), n=-1, m=2))
+        v = criteria.hirz_check(LegendrianInvariants(1, 0), n=-1, m=2)
         assert not v.embeddable
 
     @given(
@@ -58,8 +78,8 @@ class TestHirz:
     def test_monotone_under_stabilization(self, tb, r, a, b, n, m):
         inv = LegendrianInvariants(tb, r)
         stabilized = fronts.stabilize_invariants(inv, StabilizationSchedule(a, b))
-        if criteria.hirz_check(HirzQuery(stabilized, n, m)).embeddable:
-            assert criteria.hirz_check(HirzQuery(inv, n, m)).embeddable
+        if criteria.hirz_check(stabilized, n, m).embeddable:
+            assert criteria.hirz_check(inv, n, m).embeddable
 
 
 class TestEmbedPlan:

@@ -204,6 +204,21 @@ class TestNucleus:
         with pytest.raises(ExcludedCase):
             handlebody.nucleus(2, 3, 1)
 
+    def test_blown_down_family(self):
+        """n = 1 builds one tb = 2 handle for every valid (p, q) but (2, 3):
+        l >= 2 there, so T(p,q) reaches tb = 2 by 2l - 3 >= 1 zig-zags."""
+        for p in range(2, 31):
+            for q in range(p + 1, 31):
+                if math.gcd(p, q) != 1 or (p, q) == (2, 3):
+                    continue
+                data = handlebody.nucleus(p, q, 1)
+                l = data.fiber_genus
+                assert 2 * l - 3 >= 1
+                assert data.kirby.two_handles == (TwoHandle(tb=2, r=3 - 2 * l, framing=1),)
+                assert str(data.boundary) == f"-Sigma({p},{q},{p * q - 1})"
+                analysis = handlebody.analyze(data.kirby)
+                assert analysis.theta_boundary == -brieskorn.theta_closed_form(p, q, 1)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_family_consistency(self, n):
         for p in range(2, 8):

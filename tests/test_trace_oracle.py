@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import brieskorn, criteria, fronts, handlebody, linalg
+import steinkit
+from steinkit import brieskorn, cli, criteria, errors, fronts, handlebody, linalg
 from steinkit.fronts import FrontDiagram
 
 import trace_oracle
@@ -80,10 +81,10 @@ def test_agreement_under_optimize():
 
 @pytest.mark.parametrize(
     "module",
-    [fronts, linalg, handlebody, brieskorn, criteria],
+    [steinkit, fronts, linalg, handlebody, brieskorn, criteria, cli, errors],
     ids=lambda m: m.__name__.split(".")[-1],
 )
 def test_no_assert(module):
-    """Cross-checks in these modules raise, so ``python -O`` keeps them."""
+    """Cross-checks in every ``src`` module raise, so ``python -O`` keeps them."""
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

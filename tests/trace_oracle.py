@@ -204,7 +204,7 @@ def check_agreement(d: FrontDiagram, stabilize_at=None) -> None:
         "components differ",
     )
     _expect(
-        list(d._threads.crossing_signs)
+        list(d._crossing_signs)
         == [tr.direction[a] * tr.direction[b] for _g, a, b in tr.crossings],
         "crossing signs differ",
     )
