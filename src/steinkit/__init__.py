@@ -8,7 +8,7 @@ first time it is read, so a CLI process loads only what its command calls.
 
 __version__ = "0.1.0"
 
-_MODULES = frozenset({"brieskorn", "criteria", "errors", "fronts", "handlebody", "linalg"})
+_MODULES = frozenset("brieskorn criteria errors fronts handlebody legendrian linalg".split())
 
 
 def __getattr__(name):

@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidParams, InvariantViolation, brief
-from .fronts import StrictRecord, TorusKnotParams
+from .legendrian import StrictRecord, TorusKnotParams
 
 
 class _Triple(NamedTuple):

@@ -17,10 +17,12 @@ conversion, so lines that can hold a big result are left for it to
 format: they are lazy iterables such as ``_table``'s, and an object such
 as an ``OrientedBrieskorn`` prints through ``str`` when it is rendered.
 
-Each command imports the layer modules it calls, inside its function, and
-``emit_json`` imports ``json``: a command is one short process, and most
-commands use one or two layers, so a process compiles and runs only the
-modules its command needs. ``build_parser`` imports no layer.
+A command is one short process, so it pays only for what it uses: it
+imports the layers it calls inside its function (``emit_json`` imports
+``json``; ``build_parser`` imports no layer), and ``main`` builds the
+parser of the one command argv starts with (``nucleus``, ``front stats``).
+Other argv get ``build_parser()``'s parser of every command, which prints
+the same (``tests/test_cli_golden.py`` checks it).
 
 Exit codes: 0 on success, 1 on domain errors (typed error name on stderr),
 2 on usage errors, 3 on a failed internal cross-check (``InvariantViolation``).
@@ -294,8 +296,8 @@ def _nucleus(args):
 
 @command("check hirz", "--tb", "--r", "--n", "--m")
 def _check_hirz(args):
-    from . import criteria, fronts
-    inv0 = fronts.LegendrianInvariants(tb=args.tb, r=args.r)
+    from . import criteria, legendrian
+    inv0 = legendrian.LegendrianInvariants(tb=args.tb, r=args.r)
     payload = _fields(criteria.hirz_check(inv0, args.n, args.m))
     return payload, _schedule_table(payload)
 
@@ -323,8 +325,8 @@ def _check_prop_theta(args):
 
 @command("check cave", "--tb", "--r", "--k")
 def _check_cave(args):
-    from . import criteria, fronts
-    inv = fronts.LegendrianInvariants(tb=args.tb, r=args.r)
+    from . import criteria, legendrian
+    inv = legendrian.LegendrianInvariants(tb=args.tb, r=args.r)
     return _fields(criteria.cave_check(inv, args.k))
 
 
@@ -336,8 +338,8 @@ def _check_flip(args):
 
 @command("check slice", "--tb", "--r", "--g")
 def _check_slice(args):
-    from . import criteria, fronts
-    inv = fronts.LegendrianInvariants(tb=args.tb, r=args.r)
+    from . import criteria, legendrian
+    inv = legendrian.LegendrianInvariants(tb=args.tb, r=args.r)
     return {"satisfied": criteria.slice_genus_check(inv, args.g)}
 
 
@@ -375,7 +377,9 @@ def _read(path: str) -> str:
         ) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command or, when ``argv`` starts with the words
+    of one command, the parser of that command alone (see the module doc)."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -384,9 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of Legendrian fronts, Brieskorn spheres "
         "and Stein handlebodies.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands, metavar = COMMANDS, None
+    for name in COMMANDS:
+        if name.split() == list(argv[: name.count(" ") + 1]):
+            # argparse reports extra arguments under a usage line naming all
+            metavar = "{%s}" % ",".join(dict.fromkeys(n.split()[0] for n in COMMANDS))
+            commands = {name: COMMANDS[name]}
+            break
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     groups = {}
-    for name, (func, arguments) in COMMANDS.items():
+    for name, (func, arguments) in commands.items():
         *group, leaf = name.split()
         parent = sub
         if group:
@@ -408,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         result = args.func(args)
     except DomainError as exc:

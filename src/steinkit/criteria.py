@@ -13,11 +13,8 @@ from typing import NamedTuple
 
 from .brieskorn import BrieskornTriple, OrientedBrieskorn, milnor_invariants
 from .errors import ExcludedCase, InvalidParams, InvariantViolation, brief
-from .fronts import (
-    LegendrianInvariants,
-    StabilizationSchedule,
-    TorusKnotParams,
-    reachable,
+from .legendrian import (
+    LegendrianInvariants, StabilizationSchedule, TorusKnotParams, reachable,
     stabilize_invariants,
 )
 
@@ -133,12 +130,6 @@ def cave_check(inv_mirror: LegendrianInvariants, k: int) -> CaveVerdict:
         if reachable(inv_mirror, target) is not None:
             return CaveVerdict(feasible=True, target=target)
     return CaveVerdict(feasible=False, target=None)
-
-
-def mirror_pair_check(tb1: int, tb2: int) -> bool:
-    """Whether (tb1, tb2) is feasible for Legendrian representatives of a
-    mirror pair: tb(K) + tb(-K) <= -2 always."""
-    return tb1 + tb2 <= -2
 
 
 def flip_reach(r0: int, up: int, down: int, r_target: int) -> FlipVerdict:

@@ -13,11 +13,9 @@ describes a geometrically realizable front, so no slope or coordinate data
 is stored. All arithmetic is exact integer arithmetic. An event is a plain
 ``(kind, position)`` record, ``FrontEvent``, that checks nothing itself.
 
-Records. Value records are ``NamedTuple``s, so they compare equal to plain
-tuples; ``StabilizationSchedule`` and ``TorusKnotParams`` check their
-entries when built. ``FrontDiagram`` holds its trace, and a ``Component``
-refers to its diagram, so they are ``StrictRecord``s instead: ``__slots__``
-classes, equal only to their own type, compared by everything but the trace.
+The (tb, r) algebra is in ``legendrian``. ``FrontDiagram`` holds its trace
+and a ``Component`` its diagram, so they are ``StrictRecord``s: equal only
+to their own type, compared by everything but the trace.
 
 Orientation convention: each component is canonically oriented so that the
 upper strand of its first-created left cusp points rightward; components
@@ -42,20 +40,14 @@ heights and are built only when asked for.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .errors import (
-    ComponentOutOfRange,
-    EmptyDiagram,
-    InvalidInsertionPoint,
-    InvalidParams,
-    InvalidPosition,
-    InvariantViolation,
-    MalformedToken,
-    SameComponent,
-    UnbalancedDiagram,
-    WorkBudgetExceeded,
+    ComponentOutOfRange, EmptyDiagram, InvalidInsertionPoint, InvalidParams, InvalidPosition,
+    InvariantViolation, MalformedToken, SameComponent, UnbalancedDiagram, WorkBudgetExceeded,
+)
+from .legendrian import (
+    LegendrianInvariants, StabilizationSchedule, StrictRecord, TorusKnotParams, _int_token,
 )
 
 LEFT_CUSP = "L"
@@ -76,75 +68,6 @@ class FrontEvent(NamedTuple):
 
     kind: str  # one of LEFT_CUSP, RIGHT_CUSP, CROSSING
     position: int
-
-
-class LegendrianInvariants(NamedTuple):
-    tb: int
-    r: int
-
-
-class _Schedule(NamedTuple):
-    up: int
-    down: int
-
-
-class StabilizationSchedule(_Schedule):
-    """Counts of upward and downward zig-zags.
-
-    Effect on invariants: tb -> tb - up - down, r -> r - up + down.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, up: int, down: int):
-        if up < 0 or down < 0:
-            raise InvalidParams("schedule counts must be non-negative")
-        return tuple.__new__(cls, (up, down))
-
-
-class _TorusKnot(NamedTuple):
-    p: int
-    q: int
-
-
-class TorusKnotParams(_TorusKnot):
-    __slots__ = ()
-
-    def __new__(cls, p: int, q: int):
-        if not (2 <= p < q):
-            raise InvalidParams(f"need 2 <= p < q, got ({p}, {q})")
-        if math.gcd(p, q) != 1:
-            raise InvalidParams(f"({p}, {q}) not coprime")
-        return tuple.__new__(cls, (p, q))
-
-    @property
-    def l(self) -> int:
-        # (p-1)(q-1) is even because p, q are coprime.
-        return (self.p - 1) * (self.q - 1) // 2
-
-
-class StrictRecord:
-    """A record that is not a tuple: equality, hash and repr go by the
-    attributes named in ``_key``, and an instance equals only instances of
-    its own type."""
-
-    __slots__ = ()
-    _key: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._key)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._key)
-        return f"{type(self).__name__}({fields})"
 
 
 class FrontDiagram(StrictRecord):
@@ -368,35 +291,6 @@ def linking_number(diagram: FrontDiagram, c1: int, c2: int) -> int:
     return diagram._linking[c1][c2]
 
 
-def stabilize_invariants(
-    inv: LegendrianInvariants, schedule: StabilizationSchedule
-) -> LegendrianInvariants:
-    """Apply a zig-zag schedule at the invariant level."""
-    return LegendrianInvariants(
-        tb=inv.tb - schedule.up - schedule.down,
-        r=inv.r - schedule.up + schedule.down,
-    )
-
-
-def reachable(
-    source: LegendrianInvariants, target: LegendrianInvariants
-) -> StabilizationSchedule | None:
-    """Zig-zag schedule from ``source`` to ``target``, or None.
-
-    tb can only decrease; each zig-zag moves r by exactly 1, so the target
-    is reachable iff the tb-drop dominates |Delta r| with matching parity.
-    """
-    dtb = source.tb - target.tb
-    dr = target.r - source.r
-    if (dtb - dr) % 2 != 0:
-        return None
-    up = (dtb - dr) // 2
-    down = (dtb + dr) // 2
-    if up < 0 or down < 0:
-        return None
-    return StabilizationSchedule(up=up, down=down)
-
-
 def stabilize_diagram(
     diagram: FrontDiagram, c: int, direction: str, at: int
 ) -> FrontDiagram:
@@ -464,18 +358,6 @@ def torus_knot_front(
         up = (FrontEvent(LEFT_CUSP, 0), FrontEvent(RIGHT_CUSP, 1))
         events[1:1] = down * schedule.down + up * schedule.up
     return FrontDiagram(tuple(events))
-
-
-def _int_token(token: str, lineno: int) -> int:
-    """The integer a file token spells as ``-?[0-9]+``, or MalformedToken
-    (also when it is too long for ``int()``)."""
-    digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise MalformedToken(f"line {lineno}: bad integer {token!r}")
-    try:
-        return int(token)
-    except ValueError:  # more digits than int() converts
-        raise MalformedToken(f"line {lineno}: integer too long") from None
 
 
 def parse_front(text: str) -> FrontDiagram:

@@ -13,18 +13,20 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import fronts, linalg
+from . import linalg
 from .brieskorn import OrientedBrieskorn, SurgeryDescription, surgery_to_brieskorn
 from .errors import (
-    AsymmetricLinking,
-    ExcludedCase,
-    FramingMismatch,
-    InvalidParams,
-    InvariantViolation,
-    MalformedToken,
-    ParityViolation,
-    brief,
+    AsymmetricLinking, ExcludedCase, FramingMismatch, InvalidParams, InvariantViolation,
+    MalformedToken, ParityViolation, WorkBudgetExceeded, brief,
 )
+from .legendrian import TorusKnotParams, _int_token
+
+# Most 2-handles k, and most k times the bit length of the largest framing,
+# rotation or linking number, in a Kirby file: ``linalg.form`` takes k^3 / 6
+# steps on entries of about k times that many bits. At both, ``handlebody
+# analyze`` of a dense form takes 1.2 s (Python 3.11, one x86-64 core).
+HANDLE_BUDGET = 150
+BIT_BUDGET = 1000
 
 
 class TwoHandle(NamedTuple):
@@ -92,6 +94,7 @@ class NucleusData(NamedTuple):
 def from_front(diagram: fronts.FrontDiagram) -> SteinKirbyData:
     """Kirby data of the Stein handlebody on a front: one 2-handle per
     component with framing tb - 1, linking matrix from the front."""
+    from . import fronts  # only this function traces a diagram
     comps = fronts.components(diagram)
     handles = []
     for c in comps:
@@ -137,7 +140,7 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
     -Sigma(p, q, npq - 1), the result of +1/n surgery on T(p,q).
     """
     boundary = surgery_to_brieskorn(SurgeryDescription(p, q, n, 1))
-    l = fronts.TorusKnotParams(p, q).l
+    l = TorusKnotParams(p, q).l
     if n == 1:
         # tb = 2 is 2l - 3 up zig-zags below the maximal tb = 2l - 1 of
         # T(p,q), and every valid (p, q) but (2, 3) has l >= 2
@@ -182,6 +185,7 @@ def parse_kirby(text: str) -> SteinKirbyData:
     ``1-handles <n>``, then ``handle tb=<int> r=<int> framing=<int>`` lines,
     then ``lk <i> <j> <int>`` lines for i < j, at most one per pair; ``#``
     starts a comment. Diagonal linking entries are implied by the framings.
+    A file over ``HANDLE_BUDGET`` or ``BIT_BUDGET`` is ``WorkBudgetExceeded``.
     """
     one_handles = None
     handles: list[TwoHandle] = []
@@ -194,19 +198,19 @@ def parse_kirby(text: str) -> SteinKirbyData:
         if parts[0] == "1-handles" and len(parts) == 2:
             if one_handles is not None:
                 raise MalformedToken(f"line {lineno}: duplicate 1-handles line")
-            one_handles = fronts._int_token(parts[1], lineno)
+            one_handles = _int_token(parts[1], lineno)
         elif parts[0] == "handle" and len(parts) == 4:
             fields = {}
             for part in parts[1:]:
                 key, _, value = part.partition("=")
-                fields[key] = fronts._int_token(value, lineno)
+                fields[key] = _int_token(value, lineno)
             if set(fields) != {"tb", "r", "framing"}:
                 raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
             handles.append(
                 TwoHandle(tb=fields["tb"], r=fields["r"], framing=fields["framing"])
             )
         elif parts[0] == "lk" and len(parts) == 4:
-            i, j, value = (fronts._int_token(t, lineno) for t in parts[1:])
+            i, j, value = (_int_token(t, lineno) for t in parts[1:])
             if not 0 <= i < j:
                 raise MalformedToken(f"line {lineno}: need 0 <= i < j")
             if (i, j) in links:
@@ -214,9 +218,13 @@ def parse_kirby(text: str) -> SteinKirbyData:
             links[i, j] = value
         else:
             raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
-    if one_handles is None:
-        one_handles = 0
     k = len(handles)
+    if k > HANDLE_BUDGET:
+        raise WorkBudgetExceeded(f"{k} 2-handles, more than {HANDLE_BUDGET}")
+    entries = [*links.values(), *(v for h in handles for v in (h.r, h.framing))]
+    bits = max((v.bit_length() for v in entries), default=0)
+    if k * bits > BIT_BUDGET:
+        raise WorkBudgetExceeded(f"{k} 2-handles times {bits}-bit entries is over {BIT_BUDGET}")
     linking = [[0] * k for _ in range(k)]
     for i in range(k):
         linking[i][i] = handles[i].framing
@@ -224,18 +232,5 @@ def parse_kirby(text: str) -> SteinKirbyData:
         if j >= k:
             raise MalformedToken(f"lk {i} {j} out of range for {k} handles")
         linking[i][j] = linking[j][i] = value
-    return SteinKirbyData(one_handles=one_handles, two_handles=handles, linking=linking)
+    return SteinKirbyData(one_handles=one_handles or 0, two_handles=handles, linking=linking)
 
-
-def serialize_kirby(data: SteinKirbyData) -> str:
-    """Inverse of parse_kirby, up to comments and whitespace."""
-    lines = [f"1-handles {data.one_handles}"]
-    lines.extend(
-        f"handle tb={h.tb} r={h.r} framing={h.framing}" for h in data.two_handles
-    )
-    k = len(data.two_handles)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if data.linking[i][j] != 0:
-                lines.append(f"lk {i} {j} {data.linking[i][j]}")
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinkit import brieskorn, criteria, fronts, handlebody, linalg
+from steinkit import brieskorn, criteria, fronts, handlebody, legendrian, linalg
 from steinkit.brieskorn import BrieskornTriple
 from steinkit.errors import ExcludedCase
 from steinkit.fronts import (
@@ -157,7 +157,7 @@ class TestAcceptance:
             schedule = StabilizationSchedule(
                 up=int(direction == fronts.UP), down=int(direction == fronts.DOWN)
             )
-            assert fronts.invariants(out, c) == fronts.stabilize_invariants(
+            assert fronts.invariants(out, c) == legendrian.stabilize_invariants(
                 before, schedule
             )
             # orientation reversal negates r, fixes tb
@@ -165,16 +165,16 @@ class TestAcceptance:
             after = fronts.invariants(flipped, c)
             assert (after.tb, after.r) == (before.tb, -before.r)
             # reachable: reflexive and consistent with an explicit schedule
-            assert fronts.reachable(before, before) == StabilizationSchedule(0, 0)
+            assert legendrian.reachable(before, before) == StabilizationSchedule(0, 0)
             a, b = rng.randint(0, 4), rng.randint(0, 4)
-            stepped = fronts.stabilize_invariants(
+            stepped = legendrian.stabilize_invariants(
                 before, StabilizationSchedule(a, b)
             )
-            assert fronts.reachable(before, stepped) == StabilizationSchedule(a, b)
-            further = fronts.stabilize_invariants(
+            assert legendrian.reachable(before, stepped) == StabilizationSchedule(a, b)
+            further = legendrian.stabilize_invariants(
                 stepped, StabilizationSchedule(b, a)
             )
-            assert fronts.reachable(before, further) == StabilizationSchedule(
+            assert legendrian.reachable(before, further) == StabilizationSchedule(
                 a + b, a + b
             )
             checked += 1

@@ -302,7 +302,10 @@ def loaded_by(code):
     return set(proc.stdout.splitlines()[-1].split())
 
 
-LAYERS = {f"steinkit.{m}" for m in ("brieskorn", "criteria", "fronts", "handlebody", "linalg")}
+LAYERS = {
+    f"steinkit.{m}"
+    for m in ("brieskorn", "criteria", "fronts", "handlebody", "legendrian", "linalg")
+}
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
@@ -316,26 +319,37 @@ def test_import_leaves_out_dataclasses_and_inspect():
 
 
 @pytest.mark.parametrize(
-    "argv, present, absent",
+    "argv, expected",
     [
-        (["front", "stats", "{front}"], {"steinkit.fronts"},
-         LAYERS - {"steinkit.fronts"} | {"fractions", "json"}),
-        (["torus-knot", "2", "3"], {"steinkit.fronts"},
-         LAYERS - {"steinkit.fronts"} | {"fractions", "json"}),
-        (["brieskorn", "invariants", "2", "3", "5"], {"steinkit.brieskorn"},
-         LAYERS - {"steinkit.brieskorn", "steinkit.fronts"} | {"fractions", "json"}),
-        (["brieskorn", "invariants", "2", "3", "5", "--json"], {"steinkit.brieskorn", "json"},
-         LAYERS - {"steinkit.brieskorn", "steinkit.fronts"} | {"fractions"}),
+        (["front", "stats", "{front}"], {"fronts", "legendrian"}),
+        (["torus-knot", "2", "3"], {"fronts", "legendrian"}),
+        (["brieskorn", "invariants", "2", "3", "5"], {"brieskorn", "legendrian"}),
+        (["brieskorn", "invariants", "2", "3", "5", "--json"],
+         {"brieskorn", "legendrian", "json"}),
+        (["brieskorn", "seifert", "2", "3", "7"], {"brieskorn", "legendrian"}),
+        (["handlebody", "analyze", "{kirby}"],
+         {"brieskorn", "handlebody", "legendrian", "linalg", "fractions"}),
+        (["nucleus", "2", "3", "2"],
+         {"brieskorn", "handlebody", "legendrian", "linalg", "fractions"}),
+        (["check", "embed", "2", "3", "1"], {"brieskorn", "criteria", "legendrian"}),
+        (["check", "flip", "--r0", "-3", "--up", "2", "--down", "0", "--target", "1"],
+         {"brieskorn", "criteria", "legendrian"}),
     ],
-    ids=["front-stats", "torus-knot", "brieskorn-table", "brieskorn-json"],
+    ids=[
+        "front-stats", "torus-knot", "brieskorn-table", "brieskorn-json", "brieskorn-seifert",
+        "handlebody-analyze", "nucleus", "check-embed", "check-flip",
+    ],
 )
-def test_command_imports_only_its_layers(tmp_path, argv, present, absent):
-    front = tmp_path / "u.front"
+def test_command_imports_only_its_layers(tmp_path, argv, expected):
+    """Of the layers, ``fractions`` and ``json``, a command loads exactly
+    those it uses: only the commands that trace a diagram load ``fronts``."""
+    front, kirby = tmp_path / "u.front", tmp_path / "h.kirby"
     front.write_text("L 0\nR 0\n", encoding="utf-8")
-    argv = [a.format(front=front) for a in argv]
+    kirby.write_text("1-handles 0\nhandle tb=1 r=0 framing=0\n", encoding="utf-8")
+    argv = [a.format(front=front, kirby=kirby) for a in argv]
     loaded = loaded_by(f"from steinkit import cli; assert cli.main({argv!r}) == 0")
-    assert present <= loaded
-    assert not loaded & absent
+    watched = LAYERS | {"fractions", "json"}
+    assert {m.removeprefix("steinkit.") for m in loaded & watched} == expected
 
 
 def test_package_layers_are_lazy_attributes():
@@ -344,7 +358,8 @@ def test_package_layers_are_lazy_attributes():
     code = (
         "import steinkit\n"
         "assert not any(m.startswith('steinkit.') for m in sys.modules)\n"
-        "names = ('brieskorn', 'criteria', 'errors', 'fronts', 'handlebody', 'linalg')\n"
+        "names = ('brieskorn', 'criteria', 'errors', 'fronts', 'handlebody', 'legendrian',\n"
+        "         'linalg')\n"
         "for name in names:\n"
         "    assert getattr(steinkit, name) is sys.modules[f'steinkit.{name}'], name"
     )

@@ -381,3 +381,15 @@ def test_sweeps_end_within_5s(argv):
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("WorkBudgetExceeded: ")
+
+
+def test_kirby_handle_budget_within_5s(tmp_path):
+    """A file of 10**5 handles (2.6 MB) would ask for a matrix of 10**10
+    slots; it is refused before the matrix is built, on one line."""
+    path = tmp_path / "many.kirby"
+    path.write_text("1-handles 0\n" + "handle tb=1 r=0 framing=0\n" * 10**5)
+    start = time.perf_counter()
+    proc = run_process("handlebody", "analyze", str(path))
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "WorkBudgetExceeded: 100000 2-handles, more than 150\n"

@@ -4,12 +4,18 @@ Every subcommand is pinned in table and ``--json`` form, with one domain
 error and two usage errors. The expected data is in ``cli_golden.json``;
 ``python tests/test_cli_golden.py`` rewrites it from the current code, so
 run that only for an intended output change and say so in CHANGES.
+
+``cli.main`` builds the parser of the one command argv names; the parser
+of every command, ``cli.build_parser()``, is its oracle: over the golden
+argv and ``PARSER_CASES`` both must give the same stdout, whole stderr and
+exit code.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -80,7 +86,8 @@ CASES = [
 ]
 
 
-def run_case(argv, files, workdir: Path) -> dict:
+def run_main(argv, files, workdir: Path) -> tuple:
+    """``cli.main``'s exit code, stdout and stderr."""
     for name, text in files.items():
         (workdir / name).write_text(text, encoding="utf-8")
     argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
@@ -90,8 +97,13 @@ def run_case(argv, files, workdir: Path) -> dict:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    lines = err.getvalue().splitlines()
-    return {"exit": code, "stdout": out.getvalue(), "stderr": lines[0] if lines else ""}
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(argv, files, workdir: Path) -> dict:
+    code, out, err = run_main(argv, files, workdir)
+    lines = err.splitlines()
+    return {"exit": code, "stdout": out, "stderr": lines[0] if lines else ""}
 
 
 def expected():
@@ -123,6 +135,54 @@ def test_every_command_is_pinned():
         pinned.setdefault(" ".join(argv[:2]), set()).add("--json" in argv)
     for name in _command_names(cli.build_parser()):
         assert pinned.get(name) == {False, True}, name
+
+
+# argv the goldens leave out: help at each level, usage errors, and argv
+# that names no command (unknown, abbreviated, an option first, or two
+# words in one)
+PARSER_CASES = [
+    [], ["--help"], ["front"], ["front", "-h"], ["check", "--help"],
+    ["front", "stats", "--help"], ["torus-knot", "-h"], ["check", "hirz", "--help"],
+    ["check", "hirz", "--tb", "1"], ["nucleus", "2", "3"], ["front", "stabilize", "@a.front"],
+    ["torus-knot", "2", "x"],
+    ["check", "flip", "--r0", "1.5", "--up", "0", "--down", "0", "--target", "0"],
+    ["frnt", "stats", "@a.front"], ["front", "stat", "@a.front"], ["torus"],
+    ["brieskorn", "inv", "2", "3", "5"], ["front stats", "@a.front"],
+    ["--json", "torus-knot", "2", "3"], ["--json"],
+    ["torus-knot", "2", "3", "extra"], ["front", "stats", "@a.front", "extra"],
+    ["check", "slice", "--tb", "2", "--r", "3", "--g", "2", "--bogus"],
+]
+ORACLE_CASES = CASES + [(argv, {"a.front": TREFOIL}) for argv in PARSER_CASES]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(ORACLE_CASES)), ids=lambda i: shlex.join(ORACLE_CASES[i][0])
+)
+def test_command_parser_matches_full_parser(index, tmp_path, monkeypatch):
+    """``main`` prints the same bytes and exits the same with the parser of
+    the command argv names as with the parser of every command."""
+    argv, files = ORACLE_CASES[index]
+    got = run_main(argv, files, tmp_path)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert got == run_main(argv, files, tmp_path)
+
+
+def test_parser_of_one_command(tmp_path):
+    """A parser of one command, except for argv that names none; and the
+    usage line under which the top-level parser reports extra arguments
+    still names every top-level command."""
+    assert list(_command_names(cli.build_parser())) == list(cli.COMMANDS)
+    assert list(_command_names(cli.build_parser(["front", "stats", "x"]))) == ["front stats"]
+    assert list(_command_names(cli.build_parser(["nucleus", "2"]))) == ["nucleus"]
+    for argv in (["front"], ["front stats"], ["--json", "nucleus"], ["nucleus2"]):
+        assert list(_command_names(cli.build_parser(argv))) == list(cli.COMMANDS)
+    code, out, err = run_main(["torus-knot", "2", "3", "extra"], {}, tmp_path)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "usage: steinkit [-h] {front,torus-knot,brieskorn,handlebody,nucleus,check} ...",
+        "steinkit: error: unrecognized arguments: extra",
+    ]
 
 
 if __name__ == "__main__":

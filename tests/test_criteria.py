@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinkit import brieskorn, criteria, fronts, handlebody
+from steinkit import brieskorn, criteria, handlebody, legendrian
 from steinkit.errors import ExcludedCase, InvalidParams, InvariantViolation
-from steinkit.fronts import LegendrianInvariants, StabilizationSchedule
+from steinkit.legendrian import LegendrianInvariants, StabilizationSchedule
 
 
 def coprime_pairs(bound):
@@ -22,7 +22,7 @@ def coprime_pairs(bound):
 def test_torus_knot_params_checked_in_one_place(p, q):
     """Every (p, q) taker rejects bad parameters through TorusKnotParams."""
     with pytest.raises(InvalidParams) as want:
-        fronts.TorusKnotParams(p, q)
+        legendrian.TorusKnotParams(p, q)
     for call in (
         lambda: brieskorn.SurgeryDescription(p, q, 1, 1),
         lambda: brieskorn.sigma_closed_form(p, q, 1),
@@ -77,7 +77,7 @@ class TestHirz:
     )
     def test_monotone_under_stabilization(self, tb, r, a, b, n, m):
         inv = LegendrianInvariants(tb, r)
-        stabilized = fronts.stabilize_invariants(inv, StabilizationSchedule(a, b))
+        stabilized = legendrian.stabilize_invariants(inv, StabilizationSchedule(a, b))
         if criteria.hirz_check(stabilized, n, m).embeddable:
             assert criteria.hirz_check(inv, n, m).embeddable
 
@@ -104,14 +104,14 @@ class TestEmbedPlan:
     def test_sweep(self):
         for p, q in coprime_pairs(10):
             plan = criteria.brieskorn_embed_plan(p, q, 1)
-            assert fronts.stabilize_invariants(plan.source, plan.schedule) == plan.target
+            assert legendrian.stabilize_invariants(plan.source, plan.schedule) == plan.target
             assert plan.framing == plan.target.tb - 1
             if (p, q) in ((2, 3), (2, 5)):
                 with pytest.raises(ExcludedCase):
                     criteria.brieskorn_embed_plan(p, q, -1)
             else:
                 plan = criteria.brieskorn_embed_plan(p, q, -1)
-                assert fronts.stabilize_invariants(plan.source, plan.schedule) == plan.target
+                assert legendrian.stabilize_invariants(plan.source, plan.schedule) == plan.target
                 assert plan.framing == plan.target.tb - 1
 
     def test_schedule_cross_check_raises(self, monkeypatch):
@@ -177,13 +177,6 @@ class TestCave:
         assert k0 is not None
         for k in range(k0, k0 + 30):
             assert criteria.cave_check(inv, k).feasible
-
-
-class TestMirrorPair:
-    def test_cases(self):
-        assert not criteria.mirror_pair_check(1, 1)
-        assert criteria.mirror_pair_check(-1, -1)
-        assert criteria.mirror_pair_check(5, -100)
 
 
 class TestFlipReach:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import fronts
+from steinkit import fronts, legendrian
 from steinkit.errors import (
     ComponentOutOfRange,
     EmptyDiagram,
@@ -178,13 +178,13 @@ class TestStabilization:
 
     def test_invariant_level(self):
         inv = LegendrianInvariants(1, 0)
-        assert fronts.stabilize_invariants(
+        assert legendrian.stabilize_invariants(
             inv, StabilizationSchedule(0, 1)
         ) == LegendrianInvariants(0, 1)
-        assert fronts.stabilize_invariants(
+        assert legendrian.stabilize_invariants(
             LegendrianInvariants(5, 0), StabilizationSchedule(0, 3)
         ) == LegendrianInvariants(2, 3)
-        assert fronts.stabilize_invariants(inv, StabilizationSchedule(0, 0)) == inv
+        assert legendrian.stabilize_invariants(inv, StabilizationSchedule(0, 0)) == inv
 
 
 class TestRecords:
@@ -209,20 +209,20 @@ class TestRecords:
 
 class TestReachable:
     def test_paper_schedule(self):
-        s = fronts.reachable(LegendrianInvariants(1, 0), LegendrianInvariants(0, 1))
+        s = legendrian.reachable(LegendrianInvariants(1, 0), LegendrianInvariants(0, 1))
         assert s == StabilizationSchedule(0, 1)
 
     def test_tb_cannot_increase(self):
-        assert fronts.reachable(
+        assert legendrian.reachable(
             LegendrianInvariants(1, 0), LegendrianInvariants(2, 3)
         ) is None
 
     def test_reflexive(self):
         inv = LegendrianInvariants(-3, 2)
-        assert fronts.reachable(inv, inv) == StabilizationSchedule(0, 0)
+        assert legendrian.reachable(inv, inv) == StabilizationSchedule(0, 0)
 
     def test_parity_obstruction(self):
-        assert fronts.reachable(
+        assert legendrian.reachable(
             LegendrianInvariants(0, 0), LegendrianInvariants(-1, 0)
         ) is None
 
@@ -308,7 +308,7 @@ class TestProperties:
             up=1 if direction == fronts.UP else 0,
             down=1 if direction == fronts.DOWN else 0,
         )
-        assert fronts.invariants(out, c) == fronts.stabilize_invariants(
+        assert fronts.invariants(out, c) == legendrian.stabilize_invariants(
             before, schedule
         )
         # other components untouched
@@ -341,11 +341,11 @@ class TestProperties:
     )
     def test_reachable_transitive(self, tb, r, a1, b1, a2, b2):
         start = LegendrianInvariants(tb, r)
-        mid = fronts.stabilize_invariants(start, StabilizationSchedule(a1, b1))
-        end = fronts.stabilize_invariants(mid, StabilizationSchedule(a2, b2))
-        assert fronts.reachable(start, mid) == StabilizationSchedule(a1, b1)
-        assert fronts.reachable(mid, end) == StabilizationSchedule(a2, b2)
-        assert fronts.reachable(start, end) == StabilizationSchedule(a1 + a2, b1 + b2)
+        mid = legendrian.stabilize_invariants(start, StabilizationSchedule(a1, b1))
+        end = legendrian.stabilize_invariants(mid, StabilizationSchedule(a2, b2))
+        assert legendrian.reachable(start, mid) == StabilizationSchedule(a1, b1)
+        assert legendrian.reachable(mid, end) == StabilizationSchedule(a2, b2)
+        assert legendrian.reachable(start, end) == StabilizationSchedule(a1 + a2, b1 + b2)
 
     @given(front_diagrams())
     @settings(max_examples=100)

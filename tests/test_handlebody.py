@@ -15,6 +15,7 @@ from steinkit.errors import (
     InvariantViolation,
     MalformedToken,
     ParityViolation,
+    WorkBudgetExceeded,
 )
 from steinkit.handlebody import SteinKirbyData, TwoHandle
 
@@ -236,9 +237,27 @@ class TestNucleus:
 
 
 class TestKirbyFiles:
-    def test_round_trip(self):
-        data = handlebody.nucleus(2, 3, 2).kirby
-        assert handlebody.parse_kirby(handlebody.serialize_kirby(data)) == data
+    def test_handle_budget(self):
+        """``HANDLE_BUDGET`` handles parse; one more is refused before the
+        linking matrix is built."""
+        k = handlebody.HANDLE_BUDGET
+        assert len(handlebody.parse_kirby("handle tb=2 r=1 framing=1\n" * k).two_handles) == k
+        with pytest.raises(WorkBudgetExceeded, match=f"^{k + 1} 2-handles, more than {k}$"):
+            handlebody.parse_kirby("handle tb=2 r=1 framing=1\n" * (k + 1))
+
+    @pytest.mark.parametrize(
+        "last", ["handle tb={v1} r={v} framing={v}", "handle tb=2 r=1 framing=1\nlk 0 4 {v}"],
+        ids=["framing", "lk"],
+    )
+    def test_bit_budget(self, last):
+        """Five handles may have entries of ``BIT_BUDGET / 5`` bits, and not
+        one bit more."""
+        bits = handlebody.BIT_BUDGET // 5
+        text = "handle tb=2 r=1 framing=1\n" * 4 + last + "\n"
+        v = 2 ** (bits - 1)
+        assert len(handlebody.parse_kirby(text.format(v=v, v1=v + 1)).two_handles) == 5
+        with pytest.raises(WorkBudgetExceeded, match=f"^5 2-handles times {bits + 1}-bit"):
+            handlebody.parse_kirby(text.format(v=2 * v, v1=2 * v + 1))
 
     def test_valid_file(self):
         data = handlebody.parse_kirby(

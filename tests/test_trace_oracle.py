@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinkit
-from steinkit import brieskorn, cli, criteria, errors, fronts, handlebody, linalg
+from steinkit import brieskorn, cli, criteria, errors, fronts, handlebody, legendrian, linalg
 from steinkit.fronts import FrontDiagram
 
 import trace_oracle
@@ -81,7 +81,7 @@ def test_agreement_under_optimize():
 
 @pytest.mark.parametrize(
     "module",
-    [steinkit, fronts, linalg, handlebody, brieskorn, criteria, cli, errors],
+    [steinkit, fronts, legendrian, linalg, handlebody, brieskorn, criteria, cli, errors],
     ids=lambda m: m.__name__.split(".")[-1],
 )
 def test_no_assert(module):
