@@ -26,6 +26,7 @@ the same (``tests/test_cli_golden.py`` checks it).
 
 Exit codes: 0 on success, 1 on domain errors (typed error name on stderr),
 2 on usage errors, 3 on a failed internal cross-check (``InvariantViolation``).
+A reader that closes stdout early (``| head``) ends the run with exit 0.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 
 from .errors import (
@@ -140,13 +142,15 @@ def _events(diagram) -> list[list]:
 def _front_payload(diagram) -> dict:
     from . import fronts
     comps = fronts.components(diagram)
+    k = len(comps)
+    _check_rows(k + k * (k - 1) // 2, f"a front of {k} components")
     per_comp = [
         {"index": c.index, **_asdict(fronts.invariants(diagram, c.index))} for c in comps
     ]
     linking = [
         {"i": i, "j": j, "lk": fronts.linking_number(diagram, i, j)}
-        for i in range(len(comps))
-        for j in range(i + 1, len(comps))
+        for i in range(k)
+        for j in range(i + 1, k)
     ]
     return {"components": per_comp, "linking": linking}
 
@@ -443,6 +447,11 @@ def main(argv=None) -> int:
         else:
             for line in _table(payload) if lines is None else lines:
                 print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``): that ends the run, and once
+        # stdout is /dev/null the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         sys.set_int_max_str_digits(limit)
     return 0

@@ -24,18 +24,21 @@ every cusp and is preserved through crossings.
 
 Tracing. A diagram is traced once, when it is built, as threads: an *arc*
 is a piece of strand from a left cusp to a right cusp, and one sweep keeps
-the list of arcs at each strand height. ``L`` inserts two new arcs, ``R``
-joins the two it merges, ``X`` swaps two entries and records the pair.
+the list of arcs at each strand height. It tests for crossings first, as
+they are most events: ``X`` swaps two entries and records the (upper arc,
+lower arc) pair, ``R`` joins the two it merges, ``L`` inserts two new arcs.
 That sweep is the only validator of a word: it checks each event's kind
 and position as it reaches it, and that no strand is left open at the end.
 Arcs meeting at a cusp run in opposite directions, so a union-find over
 arcs with a parity bit per arc gives the components (numbered by their
-creating left cusp) and every arc's direction. One pass over the recorded
-crossings and cusps then gives every tb, every r and the whole linking
-matrix; ``components``, ``invariants`` and ``linking_number`` only look
-them up. The (gap, slot) segments of a component, which index
-``stabilize_diagram``'s insertion points, take one replay of the strand
-heights and are built only when asked for.
+creating left cusp) and every arc's direction. One pass over the crossing
+arc pairs then gives every signed crossing count, and with the cusps every
+tb, every r and the whole linking matrix; ``components``, ``invariants``
+and ``linking_number`` only look them up. The pairs stay as ``_crossings``
+for ``tests/trace_oracle.py``, which checks each crossing's sign. The
+(gap, slot) segments of a component, which index ``stabilize_diagram``'s
+insertion points, take one replay of the strand heights and are built only
+when asked for.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class FrontDiagram(StrictRecord):
     __slots__ = (
         "events", "orientation_flips",
         # the trace: per component, per crossing and per arc
-        "_created_at", "_invariants", "_linking", "_crossing_signs",
+        "_created_at", "_invariants", "_linking", "_crossings",
         "_comp", "_sign", "_segment_cache",
     )
     _key = ("events", "orientation_flips")
@@ -120,10 +123,22 @@ class FrontDiagram(StrictRecord):
         rights: list[int] = []  # upper arc
         crossings: list[tuple[int, int]] = []  # (upper arc, lower arc)
         for g, (kind, i) in enumerate(self.events):
-            strands = len(heights)
-            if kind == LEFT_CUSP:
-                if not 0 <= i <= strands:
-                    raise InvalidPosition(f"event {g}: L {i} with {strands} strands")
+            if kind == CROSSING:
+                if not 0 <= i <= len(heights) - 2:
+                    raise InvalidPosition(f"event {g}: X {i} with {len(heights)} strands")
+                a, b = heights[i], heights[i + 1]
+                heights[i], heights[i + 1] = b, a
+                crossings.append((a, b))
+            elif kind == RIGHT_CUSP:
+                if not 0 <= i <= len(heights) - 2:
+                    raise InvalidPosition(f"event {g}: R {i} with {len(heights)} strands")
+                a, b = heights[i], heights[i + 1]
+                del heights[i : i + 2]
+                rights.append(a)
+                join(a, b)
+            elif kind == LEFT_CUSP:
+                if not 0 <= i <= len(heights):
+                    raise InvalidPosition(f"event {g}: L {i} with {len(heights)} strands")
                 a = len(parent)
                 heights[i:i] = (a, a + 1)
                 # the cusp joins its two new arcs: one tree, opposite parities
@@ -131,19 +146,6 @@ class FrontDiagram(StrictRecord):
                 parity += (0, 1)
                 size += (2, 1)
                 lefts.append((g, a))
-            elif kind == RIGHT_CUSP or kind == CROSSING:
-                if not 0 <= i <= strands - 2:
-                    raise InvalidPosition(
-                        f"event {g}: {kind} {i} with {strands} strands"
-                    )
-                a, b = heights[i], heights[i + 1]
-                if kind == CROSSING:
-                    heights[i], heights[i + 1] = b, a
-                    crossings.append((a, b))
-                else:
-                    del heights[i : i + 2]
-                    rights.append(a)
-                    join(a, b)
             else:
                 raise MalformedToken(f"event {g}: unknown event kind {kind!r}")
         if heights:
@@ -173,9 +175,8 @@ class FrontDiagram(StrictRecord):
 
         # One pass over crossings and cusps gives every tb, r and lk.
         signed = [[0] * k for _ in range(k)]  # by (upper, lower) component
-        crossing_signs = tuple(sign[a] * sign[b] for a, b in crossings)
-        for (a, b), s in zip(crossings, crossing_signs):
-            signed[comp[a]][comp[b]] += s
+        for a, b in crossings:
+            signed[comp[a]][comp[b]] += sign[a] * sign[b]
         # A left cusp is traversed downward iff its upper arc points
         # leftward; a right cusp iff its upper arc points rightward.
         twice_r = [0] * k
@@ -207,7 +208,7 @@ class FrontDiagram(StrictRecord):
         self._created_at = created_at
         self._invariants = invariants
         self._linking = linking
-        self._crossing_signs = crossing_signs
+        self._crossings = crossings
         self._comp = comp
         self._sign = sign
         self._segment_cache: dict[int, tuple[tuple[tuple[int, int], ...], list[int]]] = {}

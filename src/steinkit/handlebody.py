@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .brieskorn import OrientedBrieskorn, SurgeryDescription, surgery_to_brieskorn
 from .errors import (
     AsymmetricLinking, ExcludedCase, FramingMismatch, InvalidParams, InvariantViolation,
     MalformedToken, ParityViolation, WorkBudgetExceeded, brief,
@@ -88,7 +87,7 @@ class NucleusData(NamedTuple):
     singular_fibers: int
     c1_pd: tuple[int, int]  # coefficients on the section and fiber classes
     c1_squared: int
-    boundary: OrientedBrieskorn
+    boundary: brieskorn.OrientedBrieskorn
 
 
 def from_front(diagram: fronts.FrontDiagram) -> SteinKirbyData:
@@ -139,7 +138,8 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
     leaving a single +1-framed handle on T(p,q). The boundary is
     -Sigma(p, q, npq - 1), the result of +1/n surgery on T(p,q).
     """
-    boundary = surgery_to_brieskorn(SurgeryDescription(p, q, n, 1))
+    from . import brieskorn  # only this function names a Brieskorn sphere
+    boundary = brieskorn.surgery_to_brieskorn(brieskorn.SurgeryDescription(p, q, n, 1))
     l = TorusKnotParams(p, q).l
     if n == 1:
         # tb = 2 is 2l - 3 up zig-zags below the maximal tb = 2l - 1 of

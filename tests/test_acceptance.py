@@ -86,7 +86,7 @@ class TestAcceptance:
             d = fronts.torus_knot_front(fronts.TorusKnotParams(p, q))
             lefts = [e for e in d.events if e.kind == fronts.LEFT_CUSP]
             assert len(lefts) == p
-            signs = d._crossing_signs
+            signs = [d._sign[a] * d._sign[b] for a, b in d._crossings]
             assert len(signs) == (p - 1) * q
             assert all(s == 1 for s in signs)
             assert len(fronts.components(d)) == 1

@@ -253,7 +253,7 @@ class TestTorusKnotFront:
 
     def test_all_crossings_positive(self):
         d = fronts.torus_knot_front(TorusKnotParams(3, 4))
-        signs = d._crossing_signs
+        signs = [d._sign[a] * d._sign[b] for a, b in d._crossings]
         assert len(signs) == (3 - 1) * 4
         assert all(s == 1 for s in signs)
 

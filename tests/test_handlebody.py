@@ -1,7 +1,11 @@
 """Stein Kirby data and exact linking-form analysis tests."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -234,6 +238,47 @@ class TestNucleus:
                 assert analysis.signature == 0
                 assert analysis.c1_squared == (2 - 2 * l) * (4 - 2 * n * l)
                 assert analysis.theta_boundary == -brieskorn.theta_closed_form(p, q, n)
+
+    def test_gluing_identity(self):
+        assert gluing_sweep() == (849, [(2, 3, 1)])
+
+    def test_gluing_identity_under_optimize(self):
+        """The sweep raises instead of asserting, so ``python -O`` keeps it."""
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", "import test_handlebody as t; print(t.gluing_sweep())"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(849, [(2, 3, 1)])\n"
+
+
+def gluing_sweep():
+    """The nucleus N and the Milnor fiber M glue along Sigma(p, q, npq - 1),
+    which bounds them with opposite orientations: theta of N's boundary,
+    from the Bareiss form of its Kirby data, is minus theta of M's, from the
+    Dedekind sums. Checked over coprime 2 <= p < q, p < 15, q < 30 and
+    n = 1..5; returns the count that agreed and the (p, q, n) excluded."""
+    agreed, excluded = 0, []
+    for p in range(2, 15):
+        for q in range(p + 1, 30):
+            if math.gcd(p, q) != 1:
+                continue
+            for n in range(1, 6):
+                try:
+                    kirby = handlebody.nucleus(p, q, n).kirby
+                except ExcludedCase:
+                    excluded.append((p, q, n))
+                    continue
+                theta_n = handlebody.analyze(kirby).theta_boundary
+                milnor = brieskorn.milnor_invariants(brieskorn.BrieskornTriple(p, q, n * p * q - 1))
+                if theta_n != -milnor.theta_boundary:
+                    raise AssertionError(
+                        f"({p}, {q}, {n}): theta(dN) = {theta_n}, theta(dM) = {milnor.theta_boundary}"
+                    )
+                agreed += 1
+    return agreed, excluded
 
 
 class TestKirbyFiles:

@@ -204,7 +204,7 @@ def check_agreement(d: FrontDiagram, stabilize_at=None) -> None:
         "components differ",
     )
     _expect(
-        list(d._crossing_signs)
+        [d._sign[a] * d._sign[b] for a, b in d._crossings]
         == [tr.direction[a] * tr.direction[b] for _g, a, b in tr.crossings],
         "crossing signs differ",
     )
