@@ -19,10 +19,12 @@ as an ``OrientedBrieskorn`` prints through ``str`` when it is rendered.
 
 A command is one short process, so it pays only for what it uses: it
 imports the layers it calls inside its function (``emit_json`` imports
-``json``; ``build_parser`` imports no layer), and ``main`` builds the
-parser of the one command argv starts with (``nucleus``, ``front stats``).
-Other argv get ``build_parser()``'s parser of every command, which prints
-the same (``tests/test_cli_golden.py`` checks it).
+``json``; ``build_parser`` imports no layer). ``main`` reads a well-formed
+argv with ``_read_argv``, against the same registry and without
+``argparse``. Help, usage errors and any argv the reader does not take
+exactly as ``argparse`` would go to ``build_parser()``, the parser of every
+command, which prints them (``tests/test_cli_golden.py`` checks that both
+paths print the same).
 
 Exit codes: 0 on success, 1 on domain errors (typed error name on stderr),
 2 on usage errors, 3 on a failed internal cross-check (``InvariantViolation``).
@@ -31,11 +33,11 @@ A reader that closes stdout early (``| head``) ends the run with exit 0.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import math
 import os
 import sys
+import types
 
 from .errors import (
     DomainError, ExcludedCase, InvariantViolation, MalformedToken, WorkBudgetExceeded,
@@ -59,7 +61,9 @@ GROUPS = {
 
 def command(name: str, *arguments):
     """Register a subcommand. An argument is a bare name (a positional int),
-    ``--name`` (a required int option) or ``(name, add_argument kwargs)``."""
+    ``--name`` (a required int option) or ``(name, add_argument kwargs)``;
+    ``_read_argv`` reads the kwargs ``type``, ``choices``, ``required`` and
+    ``default``, and ``metavar`` and ``help`` only show in help."""
 
     def register(func):
         COMMANDS[name] = (func, arguments)
@@ -178,6 +182,7 @@ def _parse_schedule(text: str) -> tuple[int, int]:
         up_s, down_s = text.split(",")
         return int(up_s), int(down_s)
     except ValueError:
+        import argparse  # only argparse reports this error
         raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}") from None
 
 
@@ -381,9 +386,74 @@ def _read(path: str) -> str:
         ) from None
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of every command or, when ``argv`` starts with the words
-    of one command, the parser of that command alone (see the module doc)."""
+def _spec(arg) -> tuple[str, dict]:
+    """A registered argument as ``add_argument``'s name and keywords."""
+    if isinstance(arg, tuple):
+        return arg
+    if arg.startswith("--"):
+        return arg, {"type": int, "required": True}
+    return arg, {"type": int}
+
+
+def _is_value(token: str) -> bool:
+    """``argparse`` reads ``token`` as a value, not as an option: it does not
+    start with ``-``, or it is ``-`` alone or ``-`` and decimal digits (a
+    parser with no option that looks like a negative number)."""
+    return token[:1] != "-" or token == "-" or token[1:].isdecimal()
+
+
+def _read_argv(argv):
+    """The values ``build_parser().parse_args(argv)`` gives, read without
+    ``argparse``, or None at the first token not taken exactly as
+    ``argparse`` takes it: help, ``--``, ``--name=value``, an abbreviated,
+    unknown, repeated or missing option, a wrong count of positionals or a
+    value that does not convert."""
+    for name, (func, arguments) in COMMANDS.items():
+        words = name.split()
+        if list(argv[: len(words)]) == words:
+            break
+    else:
+        return None
+    specs = dict(map(_spec, arguments))
+    given, positionals = {}, []  # argument name -> its token; positional tokens
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if _is_value(token):
+            positionals.append(token)
+        elif token in given or token != "--json" and token not in specs:
+            return None  # a repeated, unknown or abbreviated option, help or ``--``
+        elif token == "--json":
+            given[token] = True
+        else:
+            given[token] = value = next(tokens, "--")
+            if not _is_value(value):
+                return None
+    names = [n for n in specs if n[:1] != "-"]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    # the command words under the dests of build_parser's two subparser levels
+    values = dict(zip(("command", "subcommand"), words), json="--json" in given, func=func)
+    for name, kwargs in specs.items():
+        if name in given:
+            try:
+                value = kwargs.get("type", str)(given[name])
+            except Exception:  # argparse reports the failed conversion
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+        values[name.lstrip("-").replace("-", "_")] = value
+    return types.SimpleNamespace(**values)
+
+
+def build_parser():
+    """The ``argparse`` parser of every command, for help and usage errors."""
+    import argparse
+
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -392,16 +462,9 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         description="Exact invariants of Legendrian fronts, Brieskorn spheres "
         "and Stein handlebodies.",
     )
-    commands, metavar = COMMANDS, None
-    for name in COMMANDS:
-        if name.split() == list(argv[: name.count(" ") + 1]):
-            # argparse reports extra arguments under a usage line naming all
-            metavar = "{%s}" % ",".join(dict.fromkeys(n.split()[0] for n in COMMANDS))
-            commands = {name: COMMANDS[name]}
-            break
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for name, (func, arguments) in commands.items():
+    for name, (func, arguments) in COMMANDS.items():
         *group, leaf = name.split()
         parent = sub
         if group:
@@ -411,20 +474,17 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
                 ).add_subparsers(dest="subcommand", required=True)
             parent = groups[group[0]]
         p = parent.add_parser(leaf, parents=[shared])
-        for arg in arguments:
-            if isinstance(arg, tuple):
-                p.add_argument(arg[0], **arg[1])
-            elif arg.startswith("--"):
-                p.add_argument(arg, type=int, required=True)
-            else:
-                p.add_argument(arg, type=int)
+        for arg_name, kwargs in map(_spec, arguments):
+            p.add_argument(arg_name, **kwargs)
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:  # help, a usage error or an argv the reader leaves to argparse
+        args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
     except DomainError as exc:

@@ -75,6 +75,17 @@ def hirz_check(inv0: LegendrianInvariants, n: int, m: int) -> HirzVerdict:
     return HirzVerdict(embeddable=schedule is not None, schedule=schedule)
 
 
+def _check_pq_eps(p: int, q: int, eps: int) -> int:
+    """l = (p-1)(q-1)/2 of T(p, q), once (p, q, eps) passes the checks of
+    ``brieskorn_embed_plan`` and ``prop_theta_check``, in their order."""
+    l = TorusKnotParams(p, q).l
+    if eps not in (1, -1):
+        raise InvalidParams(f"eps must be +-1, got {eps}")
+    if eps == -1 and (p, q) in ((2, 3), (2, 5)):
+        raise ExcludedCase(f"Sigma({p},{q},{p * q - 1}) is excluded")
+    return l
+
+
 def brieskorn_embed_plan(p: int, q: int, eps: int) -> EmbedPlan:
     """Stabilization schedule splitting a ruled surface along
     Sigma(p, q, pq + eps).
@@ -84,9 +95,7 @@ def brieskorn_embed_plan(p: int, q: int, eps: int) -> EmbedPlan:
     excluded cases are Sigma(2,3,5) and Sigma(2,5,9).
     """
     from . import brieskorn
-    l = TorusKnotParams(p, q).l
-    if eps not in (1, -1):
-        raise InvalidParams(f"eps must be +-1, got {eps}")
+    l = _check_pq_eps(p, q, eps)
     source = LegendrianInvariants(tb=(p - 1) * q - p, r=0)
     if eps == 1:
         schedule = StabilizationSchedule(up=l - 1, down=l)
@@ -94,8 +103,6 @@ def brieskorn_embed_plan(p: int, q: int, eps: int) -> EmbedPlan:
         framing = -1
         boundary_sign = 1
     else:
-        if (p, q) in ((2, 3), (2, 5)):
-            raise ExcludedCase(f"Sigma({p},{q},{p * q - 1}) is excluded")
         schedule = StabilizationSchedule(up=l - 3, down=l)
         target = LegendrianInvariants(tb=2, r=3)
         framing = 1
@@ -124,7 +131,7 @@ def prop_theta_check(p: int, q: int, eps: int) -> ThetaReport:
     """Compare the plane field induced by the ruled-surface embedding
     (theta = -2) with the one induced by the Milnor fiber."""
     from . import brieskorn
-    brieskorn_embed_plan(p, q, eps)  # validates args and exclusions
+    _check_pq_eps(p, q, eps)
     inv = brieskorn.milnor_invariants(brieskorn.BrieskornTriple(p, q, p * q + eps))
     return ThetaReport(
         theta_embed=-2,

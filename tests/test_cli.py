@@ -1,10 +1,13 @@
 """CLI contract tests: output shapes, determinism and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -301,6 +304,32 @@ class TestTypedFailures:
             f"WorkBudgetExceeded: a front of 500 components may emit over {cli.WORK_BUDGET} rows\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, options",
+        [("stats", ()), ("stabilize", ("--component", "0", "--dir", "up", "--at", "0"))],
+        ids=["stats", "stabilize"],
+    )
+    @pytest.mark.parametrize(
+        "text, k",
+        [("L 0\nR 0\n" * 20000, 20000), ("L 0\n" * 40000 + "R 0\n" * 40000, 40000)],
+        ids=["disjoint", "nested"],
+    )
+    def test_front_component_budget(self, tmp_path, command, options, text, k):
+        """20,000 disjoint or 40,000 nested unknots: refused once the trace
+        has counted the components, before its k x k tables."""
+        from steinkit import fronts
+
+        path = tmp_path / "unknots.front"
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        proc = run_process("front", command, str(path), *options)
+        assert time.perf_counter() - start < 5
+        self.assert_typed(proc, "WorkBudgetExceeded")
+        assert proc.stderr == (
+            f"WorkBudgetExceeded: the front has {k} components, "
+            f"more than {fronts.COMPONENT_BUDGET}\n"
+        )
+
 
 def test_closed_stdout_exits_0():
     """A reader that stops after one line (``| head -1``) ends the run with
@@ -375,14 +404,36 @@ def test_import_leaves_out_dataclasses_and_inspect():
 )
 def test_command_imports_only_its_layers(tmp_path, argv, expected):
     """Of the layers, ``fractions`` and ``json``, a command loads exactly
-    those it uses: only the commands that trace a diagram load ``fronts``."""
+    those it uses: only the commands that trace a diagram load ``fronts``.
+    A well-formed argv is read without ``argparse``, so no command loads it
+    or the ``gettext`` it pulls in."""
     front, kirby = tmp_path / "u.front", tmp_path / "h.kirby"
     front.write_text("L 0\nR 0\n", encoding="utf-8")
     kirby.write_text("1-handles 0\nhandle tb=1 r=0 framing=0\n", encoding="utf-8")
     argv = [a.format(front=front, kirby=kirby) for a in argv]
     loaded = loaded_by(f"from steinkit import cli; assert cli.main({argv!r}) == 0")
-    watched = LAYERS | {"fractions", "json"}
+    watched = LAYERS | {"fractions", "json", "argparse", "gettext"}
     assert {m.removeprefix("steinkit.") for m in loaded & watched} == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["front", "stabilize", "-h"], 0), (["torus-knot", "2", "3", "extra"], 2),
+     (["check", "hirz", "--tb", "1"], 2)],
+    ids=["help", "command-help", "extra-argument", "missing-option"],
+)
+def test_help_and_usage_errors_print_argparse_text(argv, code, monkeypatch):
+    """Help and usage errors still come from the parser of every command,
+    with its exit code, in a fresh process as in this one."""
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    proc = run_process(*argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.getvalue(), err.getvalue())
+    assert exc.value.code == code
+    assert (proc.stdout if code == 0 else proc.stderr).startswith("usage: steinkit ")
 
 
 def test_package_layers_are_lazy_attributes():

@@ -5,10 +5,12 @@ error and two usage errors. The expected data is in ``cli_golden.json``;
 ``python tests/test_cli_golden.py`` rewrites it from the current code, so
 run that only for an intended output change and say so in CHANGES.
 
-``cli.main`` builds the parser of the one command argv names; the parser
-of every command, ``cli.build_parser()``, is its oracle: over the golden
-argv and ``PARSER_CASES`` both must give the same stdout, whole stderr and
-exit code.
+``cli.main`` reads a well-formed argv with ``cli._read_argv``, without
+``argparse``; the parser of every command, ``cli.build_parser()``, is its
+oracle. Over the golden argv and ``PARSER_CASES``, ``main`` must print the
+same stdout and whole stderr and exit the same with the reader as with
+``argparse`` alone, and over generated argv the reader must give either
+nothing or exactly the values ``argparse`` gives.
 """
 
 import argparse
@@ -20,6 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinkit import cli
 
@@ -159,30 +163,119 @@ ORACLE_CASES = CASES + [(argv, {"a.front": TREFOIL}) for argv in PARSER_CASES]
     "index", range(len(ORACLE_CASES)), ids=lambda i: shlex.join(ORACLE_CASES[i][0])
 )
 def test_command_parser_matches_full_parser(index, tmp_path, monkeypatch):
-    """``main`` prints the same bytes and exits the same with the parser of
-    the command argv names as with the parser of every command."""
+    """``main`` prints the same bytes and exits the same with the argv reader
+    as with the parser of every command alone."""
     argv, files = ORACLE_CASES[index]
     got = run_main(argv, files, tmp_path)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert got == run_main(argv, files, tmp_path)
 
 
-def test_parser_of_one_command(tmp_path):
-    """A parser of one command, except for argv that names none; and the
-    usage line under which the top-level parser reports extra arguments
-    still names every top-level command."""
+def test_reader_takes_every_golden_command():
+    """Every golden argv that runs a command is read without ``argparse``;
+    the one that ``argparse`` reports a usage error for is left to it."""
+    for (argv, _), golden in zip(CASES, expected()):
+        assert (cli._read_argv(argv) is None) == golden["stderr"].startswith("usage:"), argv
+
+
+def test_usage_line_names_every_command(tmp_path):
+    """The parser of every command, and the usage line under which it
+    reports extra arguments, which names every top-level command."""
     assert list(_command_names(cli.build_parser())) == list(cli.COMMANDS)
-    assert list(_command_names(cli.build_parser(["front", "stats", "x"]))) == ["front stats"]
-    assert list(_command_names(cli.build_parser(["nucleus", "2"]))) == ["nucleus"]
-    for argv in (["front"], ["front stats"], ["--json", "nucleus"], ["nucleus2"]):
-        assert list(_command_names(cli.build_parser(argv))) == list(cli.COMMANDS)
     code, out, err = run_main(["torus-knot", "2", "3", "extra"], {}, tmp_path)
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         "usage: steinkit [-h] {front,torus-knot,brieskorn,handlebody,nucleus,check} ...",
         "steinkit: error: unrecognized arguments: extra",
     ]
+
+
+ODD_INTS = ["-0", "1_0", "\u0663", "-\u0663", "\u00b2", " -5", "-5 ", "-5\n", "1.5", "x",
+            "", "9" * 5000, "-" + "9" * 5000]
+MOSTLY = st.sampled_from([True] * 9 + [False])  # hypothesis favours the first
+ODD_TOKENS = ["-h", "--help", "--", "--tb=1", "--json=1", "-", "-1,0", "front", "extra"]
+
+
+def _values(kwargs: dict):
+    """Values for an argument: well-formed mostly, and the odd ones that
+    ``argparse`` reads in a way of its own."""
+    if kwargs.get("type") is int:
+        return st.one_of(*[st.integers(-3, 9).map(str)] * 9, st.sampled_from(ODD_INTS))
+    if "choices" in kwargs:
+        return st.sampled_from([*kwargs["choices"], "side", "-1"])
+    if "type" in kwargs:  # --stabilize a,b
+        return st.sampled_from(["1,2", "0,0", "2,x", "1", "-1,0", "1_0,\u0663", " 1,2 "])
+    return st.sampled_from(["f", "+", "-", "-1", "x", "", "--json"])
+
+
+@st.composite
+def argvs(draw):
+    """A command's words, then its arguments shuffled, each option with a
+    value, maybe ``--json`` and at times an odd or repeated token; or the
+    words and a few tokens of any kind."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    specs = dict(map(cli._spec, cli.COMMANDS[name][1]))
+    options = [*(n for n in specs if n.startswith("--")), "--json"]
+    odd = st.sampled_from(
+        [*ODD_TOKENS, *ODD_INTS, *options, *(o[:4] for o in options), *(f"{o}=1" for o in options)]
+    )
+    chunks = [
+        [n, draw(_values(kw))] if n.startswith("--") else [draw(_values(kw))]
+        for n, kw in specs.items()
+        if draw(MOSTLY) or not kw.get("required", not n.startswith("--"))
+    ]
+    chunks.append(draw(st.sampled_from([[], ["--json"]])))
+    rest = [t for chunk in draw(st.permutations(chunks)) for t in chunk]
+    for _ in range(draw(st.sampled_from([0] * 5 + [1, 2]))):
+        rest.insert(draw(st.integers(0, len(rest))), draw(odd))
+    if not draw(MOSTLY):
+        rest = draw(st.lists(odd, max_size=6))
+    return name.split() + rest
+
+
+PARSER = cli.build_parser()
+
+
+def check_reader(argv) -> bool:
+    """The reader gives None, or exactly what ``argparse`` gives; where
+    ``argparse`` exits, for help or a usage error, it gives None. True if
+    the reader took ``argv``."""
+    read = cli._read_argv(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(PARSER.parse_args(argv))
+        except SystemExit:
+            parsed = None
+    assert read is None or vars(read) == parsed, (argv, vars(read), parsed)
+    return read is not None
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argvs())
+def test_reader_matches_argparse(argv):
+    check_reader(argv)
+
+
+def test_reader_matches_argparse_on_one_edit():
+    """Every golden command argv with one token replaced, inserted or
+    deleted, over the odd tokens and the command's own option names."""
+    bases = {}  # the longest argv of each command, without the three errors
+    for argv, _ in CASES[:-3]:
+        name = next(n for n in cli.COMMANDS if argv[: n.count(" ") + 1] == n.split())
+        argv = [a[1:] if a[:1] == "@" else a for a in argv]
+        bases[name] = max(bases.get(name, []), argv, key=len)
+    taken = 0
+    for name, argv in bases.items():
+        words = name.count(" ") + 1
+        options = [a for a in argv if a.startswith("--")]
+        pool = [*ODD_TOKENS, *ODD_INTS, *options, *(o[:4] for o in options), "up", "1,2"]
+        for at in range(words, len(argv) + 1):
+            edits = [argv[:at] + [t] + argv[at:] for t in pool]
+            if at < len(argv):
+                edits += [argv[:at] + argv[at + 1:]]
+                edits += [argv[:at] + [t] + argv[at + 1:] for t in pool]
+            taken += sum(map(check_reader, edits))
+    assert taken > 300  # of about 5,800 edits
 
 
 if __name__ == "__main__":

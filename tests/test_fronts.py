@@ -16,6 +16,7 @@ from steinkit.errors import (
     MalformedToken,
     SameComponent,
     UnbalancedDiagram,
+    WorkBudgetExceeded,
 )
 from steinkit.fronts import (
     FrontDiagram,
@@ -116,6 +117,14 @@ class TestComponents:
         assert len(comps) == 2
         assert comps[0].created_at == 0
         assert comps[1].created_at == 2
+
+    def test_component_budget(self):
+        """Up to ``COMPONENT_BUDGET`` components trace; one more is refused
+        before the k x k tables are built."""
+        k = fronts.COMPONENT_BUDGET
+        assert len(fronts.components(fronts.parse_front("L 0\nR 0\n" * k))) == k
+        with pytest.raises(WorkBudgetExceeded, match=f"has {k + 1} components, more than {k}$"):
+            fronts.parse_front("L 0\n" * (k + 1) + "R 0\n" * (k + 1))
 
 
 class TestInvariants:
