@@ -26,23 +26,25 @@ Tracing. A diagram is traced once, when it is built, as threads: an *arc*
 is a piece of strand from a left cusp to a right cusp, and one sweep keeps
 the list of arcs at each strand height. It tests for crossings first, as
 they are most events: ``X`` swaps two entries and records the (upper arc,
-lower arc) pair, ``R`` joins the two it merges, ``L`` inserts two new arcs.
-That sweep is the only validator of a word: it checks each event's kind
-and position as it reaches it, and that no strand is left open at the end.
-Arcs meeting at a cusp run in opposite directions, so a union-find over
-arcs with a parity bit per arc gives the components (numbered by their
+lower arc) pair, ``R`` records that its two arcs meet, ``L`` inserts two
+new arcs. That sweep is the only validator of a word: it checks each
+event's kind and position as it reaches it, and that no strand is left open
+at the end. Every arc meets one arc at its left cusp and one at its right
+cusp, and runs opposite to both, so each component is one even cycle of
+arcs; a walk around each cycle gives the components (numbered by their
 creating left cusp) and every arc's direction. One pass over the crossing
 arc pairs then gives every signed crossing count, and with the cusps every
 tb, every r and the whole linking matrix; ``components``, ``invariants``
 and ``linking_number`` only look them up. The pairs stay as ``_crossings``
 for ``tests/trace_oracle.py``, which checks each crossing's sign. The
 (gap, slot) segments of a component, which index ``stabilize_diagram``'s
-insertion points, take one replay of the strand heights and are built only
-when asked for.
+insertion points, come from a replay of the strand heights that is not
+kept: ``stabilize_diagram`` stops it at its insertion point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import (
@@ -60,9 +62,10 @@ CROSSING = "X"
 UP = "up"
 DOWN = "down"
 
-# Most events ``torus_knot_front`` builds, checked before it builds any:
-# a front of 10**5 events takes about a second to build, trace and print
-# as JSON from the CLI (Python 3.11 on one core of an x86-64 host).
+# Most events a front may have, checked before its trace sweep, and by
+# ``torus_knot_front`` before it builds any: a front of 10**5 events takes
+# about a second to build, trace and print as JSON from the CLI (Python 3.11
+# on one core of an x86-64 host).
 EVENT_BUDGET = 10**5
 
 # Most components a traced front may have. The trace fills two k x k tables
@@ -88,7 +91,7 @@ class FrontDiagram(StrictRecord):
         "events", "orientation_flips",
         # the trace: per component, per crossing and per arc
         "_created_at", "_invariants", "_linking", "_crossings",
-        "_comp", "_sign", "_segment_cache",
+        "_comp", "_sign",
     )
     _key = ("events", "orientation_flips")
 
@@ -97,35 +100,16 @@ class FrontDiagram(StrictRecord):
         self.orientation_flips: frozenset[int] = frozenset(orientation_flips)
         if not self.events:
             raise EmptyDiagram("front has no events")
-
-        parent: list[int] = []  # union-find forest over arcs
-        parity: list[int] = []  # 1 if an arc runs opposite to its parent
-        size: list[int] = []
-
-        def find(a: int) -> tuple[int, int]:
-            p = 0
-            while parent[a] != a:
-                p ^= parity[a]
-                a = parent[a]
-            return a, p
-
-        def join(a: int, b: int) -> None:
-            """Arcs ``a`` and ``b`` meet at a cusp: opposite directions."""
-            (ra, pa), (rb, pb) = find(a), find(b)
-            if ra == rb:
-                if pa == pb:
-                    raise InvariantViolation("front does not close up")
-                return
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            parity[rb] = pa ^ pb ^ 1
-            size[ra] += size[rb]
+        if len(self.events) > EVENT_BUDGET:
+            raise WorkBudgetExceeded(
+                f"the front has {len(self.events)} events, more than {EVENT_BUDGET}"
+            )
 
         # The sweep, and the only check of event kinds and positions. Arcs
         # are numbered 0, 1, 2, ... as their left cusps create them, upper
-        # arc first.
+        # arc first, so arc ``a ^ 1`` meets arc ``a`` at its left cusp.
         heights: list[int] = []  # the arc at each strand height
+        partner: list[int] = []  # the arc meeting each arc at its right cusp
         lefts: list[tuple[int, int]] = []  # (event index, upper arc)
         rights: list[int] = []  # upper arc
         crossings: list[tuple[int, int]] = []  # (upper arc, lower arc)
@@ -142,34 +126,40 @@ class FrontDiagram(StrictRecord):
                 a, b = heights[i], heights[i + 1]
                 del heights[i : i + 2]
                 rights.append(a)
-                join(a, b)
+                partner[a], partner[b] = b, a
             elif kind == LEFT_CUSP:
                 if not 0 <= i <= len(heights):
                     raise InvalidPosition(f"event {g}: L {i} with {len(heights)} strands")
-                a = len(parent)
+                a = len(partner)
                 heights[i:i] = (a, a + 1)
-                # the cusp joins its two new arcs: one tree, opposite parities
-                parent += (a, a)
-                parity += (0, 1)
-                size += (2, 1)
+                partner += (a, a)  # set at their right cusps
                 lefts.append((g, a))
             else:
                 raise MalformedToken(f"event {g}: unknown event kind {kind!r}")
         if heights:
             raise UnbalancedDiagram(f"{len(heights)} strands left open")
 
-        # Number components by their creating left cusp and orient each so
-        # that the upper arc of that cusp points rightward, then flip.
-        roots = [find(a) for a in range(len(parent))]
-        comp_of_root: dict[int, int] = {}
-        sign_of_root: dict[int, int] = {}
+        # Each component is one cycle of arcs, x -> partner[x] -> its left
+        # cusp partner ^ 1 -> ..., and the direction flips at every cusp.
+        # Number components by their creating left cusp and walk each from
+        # the upper arc of that cusp, which points rightward unless flipped.
+        comp = [0] * len(partner)
+        sign = [0] * len(partner)  # +1 rightward, -1 leftward, 0 not yet walked
         created_at: list[int] = []
-        for g, a in lefts:
-            root, p = roots[a]
-            if root not in comp_of_root:
-                comp_of_root[root] = len(created_at)
-                sign_of_root[root] = -1 if p else 1
-                created_at.append(g)
+        for g, start in lefts:
+            if sign[start]:
+                continue
+            c = len(created_at)
+            created_at.append(g)
+            s = -1 if c in self.orientation_flips else 1
+            x = start
+            while not sign[x]:
+                y = partner[x]
+                comp[x] = comp[y] = c
+                sign[x], sign[y] = s, -s
+                x = y ^ 1
+            if x != start:
+                raise InvariantViolation("front does not close up")
         k = len(created_at)
         if k > COMPONENT_BUDGET:
             raise WorkBudgetExceeded(
@@ -178,11 +168,6 @@ class FrontDiagram(StrictRecord):
         for c in self.orientation_flips:
             if not 0 <= c < k:
                 raise ComponentOutOfRange(f"flip {c} with {k} components")
-        for root, c in comp_of_root.items():
-            if c in self.orientation_flips:
-                sign_of_root[root] = -sign_of_root[root]
-        comp = [comp_of_root[root] for root, _p in roots]
-        sign = [-sign_of_root[root] if p else sign_of_root[root] for root, p in roots]
 
         # One pass over crossings and cusps gives every tb, r and lk.
         signed = [[0] * k for _ in range(k)]  # by (upper, lower) component
@@ -222,40 +207,33 @@ class FrontDiagram(StrictRecord):
         self._crossings = crossings
         self._comp = comp
         self._sign = sign
-        self._segment_cache: dict[int, tuple[tuple[tuple[int, int], ...], list[int]]] = {}
 
-    def _segments(self, c: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-        """Sorted (gap, slot) segments of component ``c`` and the arc on
-        each; built on first request by replaying the strand heights, with
-        arcs numbered as the trace sweep numbers them."""
-        if c not in self._segment_cache:
-            comp = self._comp
-            segs: list[tuple[int, int]] = []
-            arcs: list[int] = []
-            heights: list[int] = []
-            created = 0
-            for g, (kind, i) in enumerate(self.events):
-                if kind == LEFT_CUSP:
-                    heights[i:i] = (created, created + 1)
-                    created += 2
-                elif kind == RIGHT_CUSP:
-                    del heights[i : i + 2]
-                else:
-                    heights[i], heights[i + 1] = heights[i + 1], heights[i]
-                for slot, arc in enumerate(heights):
-                    if comp[arc] == c:
-                        segs.append((g + 1, slot))
-                        arcs.append(arc)
-            self._segment_cache[c] = (tuple(segs), arcs)
-        return self._segment_cache[c]
+    def _segments(self, c: int) -> Iterator[tuple[int, int, int]]:
+        """The (gap, slot) segments of component ``c`` in sorted order, each
+        with its arc: a replay of the strand heights, with arcs numbered as
+        the trace sweep numbers them, that runs only as far as it is read."""
+        comp = self._comp
+        heights: list[int] = []
+        created = 0
+        for g, (kind, i) in enumerate(self.events):
+            if kind == LEFT_CUSP:
+                heights[i:i] = (created, created + 1)
+                created += 2
+            elif kind == RIGHT_CUSP:
+                del heights[i : i + 2]
+            else:
+                heights[i], heights[i + 1] = heights[i + 1], heights[i]
+            for slot, arc in enumerate(heights):
+                if comp[arc] == c:
+                    yield g + 1, slot, arc
 
 
 class Component(StrictRecord):
     """One link component: its index and creating event.
 
     ``segments`` are its (gap, slot) pairs, sorted: gap g lies between
-    events g-1 and g, and slot 0 is the topmost strand in that gap. They are
-    built on first read.
+    events g-1 and g, and slot 0 is the topmost strand in that gap. Each
+    read replays the diagram's strand heights.
     """
 
     __slots__ = ("index", "created_at", "_diagram")
@@ -268,7 +246,7 @@ class Component(StrictRecord):
 
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:
-        return self._diagram._segments(self.index)[0]
+        return tuple((gap, slot) for gap, slot, _arc in self._diagram._segments(self.index))
 
 
 def components(diagram: FrontDiagram) -> list[Component]:
@@ -315,13 +293,14 @@ def stabilize_diagram(
     if direction not in (UP, DOWN):
         raise InvalidParams(f"direction must be 'up' or 'down', got {direction!r}")
     _check_component(diagram, c)
-    segments, arcs = diagram._segments(c)
-    if not 0 <= at < len(segments):
-        raise InvalidInsertionPoint(
-            f"insertion point {at} with {len(segments)} segments"
-        )
-    gap, slot = segments[at]
-    rightward = diagram._sign[arcs[at]] > 0
+    count = 0  # the replay stops at segment ``at``; it reads them all to refuse
+    for gap, slot, arc in diagram._segments(c):
+        if count == at:
+            break
+        count += 1
+    else:
+        raise InvalidInsertionPoint(f"insertion point {at} with {count} segments")
+    rightward = diagram._sign[arc] > 0
     # On a rightward strand a down zig-zag dips below (left cusp under the
     # strand, right cusp merging into it); on a leftward strand the roles swap.
     if (direction == DOWN) == rightward:

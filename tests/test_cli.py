@@ -330,6 +330,21 @@ class TestTypedFailures:
             f"more than {fronts.COMPONENT_BUDGET}\n"
         )
 
+    def test_front_event_budget(self, tmp_path):
+        """400,000 nested unknots (3.2 MB): refused before the trace sweep,
+        whose strand-list inserts would take minutes."""
+        from steinkit import fronts
+
+        path = tmp_path / "nested.front"
+        path.write_text("L 0\n" * 400000 + "R 0\n" * 400000, encoding="utf-8")
+        start = time.perf_counter()
+        proc = run_process("front", "stats", str(path))
+        assert time.perf_counter() - start < 5
+        self.assert_typed(proc, "WorkBudgetExceeded")
+        assert proc.stderr == (
+            f"WorkBudgetExceeded: the front has 800000 events, more than {fronts.EVENT_BUDGET}\n"
+        )
+
 
 def test_closed_stdout_exits_0():
     """A reader that stops after one line (``| head -1``) ends the run with

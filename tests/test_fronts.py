@@ -126,6 +126,18 @@ class TestComponents:
         with pytest.raises(WorkBudgetExceeded, match=f"has {k + 1} components, more than {k}$"):
             fronts.parse_front("L 0\n" * (k + 1) + "R 0\n" * (k + 1))
 
+    def test_event_budget(self):
+        """Up to ``EVENT_BUDGET`` events trace; one more is refused before the
+        sweep reads any, so even a first bad position is not reached."""
+        n = fronts.EVENT_BUDGET
+        eye = (FrontEvent(fronts.LEFT_CUSP, 0), FrontEvent(fronts.RIGHT_CUSP, 0))
+        twists = (FrontEvent(fronts.CROSSING, 0),) * (n - 2)
+        d = FrontDiagram(eye[:1] + twists + eye[1:])
+        assert len(d.events) == n and len(fronts.components(d)) == 1
+        for events in (eye[:1] + twists + twists[:1] + eye[1:], twists[:1] * (n + 1)):
+            with pytest.raises(WorkBudgetExceeded, match=f"has {n + 1} events, more than {n}$"):
+                FrontDiagram(events)
+
 
 class TestInvariants:
     def test_unknot(self):
@@ -184,6 +196,26 @@ class TestStabilization:
         d = fronts.parse_front(UNKNOT)
         with pytest.raises(InvalidInsertionPoint):
             fronts.stabilize_diagram(d, 0, fronts.DOWN, 99)
+
+    @pytest.mark.parametrize("at", [-1, 8, 10**20], ids=["negative", "one-past-last", "huge"])
+    def test_insertion_point_message(self, at):
+        """Component 1 of the Hopf front has 8 segments: ``at`` = -1, 8 and
+        one past any index a sequence takes are refused with the count (7,
+        the last, is taken below)."""
+        d = fronts.parse_front(HOPF)
+        assert len(fronts.components(d)[1].segments) == 8
+        with pytest.raises(InvalidInsertionPoint, match=f"^insertion point {at} with 8 segments$"):
+            fronts.stabilize_diagram(d, 1, fronts.DOWN, at)
+
+    def test_last_insertion_point(self):
+        d = fronts.parse_front(HOPF)
+        gap, slot = fronts.components(d)[1].segments[-1]
+        out = fronts.stabilize_diagram(d, 1, fronts.DOWN, 7)
+        assert out.events[:gap] + out.events[gap + 2:] == d.events
+        assert {ev.position for ev in out.events[gap : gap + 2]} == {slot, slot + 1}
+        assert fronts.invariants(out, 1) == legendrian.stabilize_invariants(
+            fronts.invariants(d, 1), StabilizationSchedule(0, 1)
+        )
 
     def test_invariant_level(self):
         inv = LegendrianInvariants(1, 0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import steinkit
 from steinkit import brieskorn, cli, criteria, errors, fronts, handlebody, legendrian, linalg
-from steinkit.fronts import FrontDiagram
+from steinkit.fronts import FrontDiagram, FrontEvent
 
 import trace_oracle
 from test_fronts import front_diagrams
@@ -30,6 +30,40 @@ def test_acceptance_sweep():
 def test_braid_closures_with_flips():
     for d in trace_oracle.braid_closures():
         trace_oracle.check_agreement(d)
+
+
+def valid_words(max_events):
+    """Every word of at most ``max_events`` events that closes up, with each
+    event's position in range: ``L i`` for i <= strands, ``R i`` and ``X i``
+    for i <= strands - 2."""
+
+    def grow(word, strands):
+        if word and not strands:
+            yield word
+        spare = max_events - len(word) - strands // 2  # events past the closing R's
+        if spare >= 2:
+            for i in range(strands + 1):
+                yield from grow(word + (FrontEvent(fronts.LEFT_CUSP, i),), strands + 2)
+        for i in range(strands - 1):
+            yield from grow(word + (FrontEvent(fronts.RIGHT_CUSP, i),), strands - 2)
+            if spare >= 1:
+                yield from grow(word + (FrontEvent(fronts.CROSSING, i),), strands)
+
+    return grow((), 0)
+
+
+def test_every_small_front():
+    """Every valid word of at most 6 events, under every flip set: 552
+    words and 2,186 diagrams."""
+    words = diagrams = 0
+    for events in valid_words(6):
+        k = len(fronts.components(FrontDiagram(events)))
+        for mask in range(2**k):
+            flips = {c for c in range(k) if mask >> c & 1}
+            trace_oracle.check_agreement(FrontDiagram(events, flips))
+            diagrams += 1
+        words += 1
+    assert (words, diagrams) == (552, 2186)
 
 
 @given(front_diagrams(), st.data())
