@@ -109,40 +109,32 @@ class SurgeryDescription(_Surgery):
         return tuple.__new__(cls, (p, q, n, sign))
 
 
-def _min_abs_residues(residue: int, modulus: int) -> list[int]:
-    """Representatives of ``residue`` mod ``modulus`` of minimal absolute
-    value, positive one first when both signs achieve it."""
+def _min_abs_residue(residue: int, modulus: int) -> int:
+    """The representative of ``residue`` mod ``modulus`` of least absolute
+    value, the positive one when both signs achieve it."""
     r = residue % modulus
-    candidates = sorted({r, r - modulus}, key=lambda v: (abs(v), v < 0))
-    best = abs(candidates[0])
-    return [v for v in candidates if abs(v) == best]
+    return r if 2 * r <= modulus else r - modulus
 
 
 def seifert_data(t: BrieskornTriple) -> SeifertData:
     """Minimal solution of q1*p2*p3 + p1*q2*p3 + p1*p2*q3 = +1.
 
-    Among all solutions, q1 and q2 are pinned modulo p1 and p2 respectively,
-    so the lexicographic minimum of (|q1|, |q2|, |q3|) (positive entries
-    preferred at ties) ranges over at most four candidates.
+    Every solution has q1 = (p2*p3)^-1 mod p1 and q2 = (p1*p3)^-1 mod p2, and
+    any such pair gives an integer q3, so the lexicographic minimum of (|q1|,
+    |q2|, |q3|), positive at ties, takes q1 and q2 least in absolute value.
     """
     p1, p2, p3 = t.p1, t.p2, t.p3
-    solutions = []
-    for q1 in _min_abs_residues(pow(p2 * p3, -1, p1), p1):
-        for q2 in _min_abs_residues(pow(p1 * p3, -1, p2), p2):
-            remainder = 1 - q1 * p2 * p3 - q2 * p1 * p3
-            if remainder % (p1 * p2) != 0:
-                raise InvariantViolation(
-                    f"{brief(remainder)} not divisible by {brief(p1 * p2)}"
-                )
-            solutions.append((q1, q2, remainder // (p1 * p2)))
-    best = min(
-        solutions,
-        key=lambda s: (abs(s[0]), s[0] < 0, abs(s[1]), s[1] < 0, abs(s[2]), s[2] < 0),
-    )
-    out = SeifertData(*best)
+    q1 = _min_abs_residue(pow(p2 * p3, -1, p1), p1)
+    q2 = _min_abs_residue(pow(p1 * p3, -1, p2), p2)
+    remainder = 1 - q1 * p2 * p3 - q2 * p1 * p3
+    if remainder % (p1 * p2) != 0:
+        raise InvariantViolation(
+            f"{brief(remainder)} not divisible by {brief(p1 * p2)}"
+        )
+    out = SeifertData(q1, q2, remainder // (p1 * p2))
     if out.q1 * p2 * p3 + p1 * out.q2 * p3 + p1 * p2 * out.q3 != 1:
         raise InvariantViolation(
-            f"Seifert data {brief(best)} of Sigma{brief(t)} does not sum to 1"
+            f"Seifert data {brief(out)} of Sigma{brief(t)} does not sum to 1"
         )
     return out
 

@@ -13,9 +13,9 @@ describes a geometrically realizable front, so no slope or coordinate data
 is stored. All arithmetic is exact integer arithmetic. An event is a plain
 ``(kind, position)`` record, ``FrontEvent``, that checks nothing itself.
 
-The (tb, r) algebra is in ``legendrian``. ``FrontDiagram`` holds its trace
-and a ``Component`` its diagram, so they are ``StrictRecord``s: equal only
-to their own type, compared by everything but the trace.
+The (tb, r) algebra is in ``legendrian``. ``FrontDiagram`` and ``Component``
+are ``StrictRecord``s, equal only to their own type; a diagram is compared
+by everything but its trace.
 
 Orientation convention: each component is canonically oriented so that the
 upper strand of its first-created left cusp points rightward; components
@@ -36,15 +36,13 @@ creating left cusp) and every arc's direction. One pass over the crossing
 arc pairs then gives every signed crossing count, and with the cusps every
 tb, every r and the whole linking matrix; ``components``, ``invariants``
 and ``linking_number`` only look them up. The pairs stay as ``_crossings``
-for ``tests/trace_oracle.py``, which checks each crossing's sign. The
-(gap, slot) segments of a component, which index ``stabilize_diagram``'s
-insertion points, come from a replay of the strand heights that is not
-kept: ``stabilize_diagram`` stops it at its insertion point.
+for ``tests/trace_oracle.py``, which checks each crossing's sign. No
+segment is kept: ``stabilize_diagram`` replays the strand heights to find
+its insertion point.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import (
@@ -208,50 +206,19 @@ class FrontDiagram(StrictRecord):
         self._comp = comp
         self._sign = sign
 
-    def _segments(self, c: int) -> Iterator[tuple[int, int, int]]:
-        """The (gap, slot) segments of component ``c`` in sorted order, each
-        with its arc: a replay of the strand heights, with arcs numbered as
-        the trace sweep numbers them, that runs only as far as it is read."""
-        comp = self._comp
-        heights: list[int] = []
-        created = 0
-        for g, (kind, i) in enumerate(self.events):
-            if kind == LEFT_CUSP:
-                heights[i:i] = (created, created + 1)
-                created += 2
-            elif kind == RIGHT_CUSP:
-                del heights[i : i + 2]
-            else:
-                heights[i], heights[i + 1] = heights[i + 1], heights[i]
-            for slot, arc in enumerate(heights):
-                if comp[arc] == c:
-                    yield g + 1, slot, arc
-
-
 class Component(StrictRecord):
-    """One link component: its index and creating event.
+    """One link component: its index and creating event."""
 
-    ``segments`` are its (gap, slot) pairs, sorted: gap g lies between
-    events g-1 and g, and slot 0 is the topmost strand in that gap. Each
-    read replays the diagram's strand heights.
-    """
+    __slots__ = _key = ("index", "created_at")
 
-    __slots__ = ("index", "created_at", "_diagram")
-    _key = ("index", "created_at")
-
-    def __init__(self, index: int, created_at: int, diagram: FrontDiagram):
+    def __init__(self, index: int, created_at: int):
         self.index = index
         self.created_at = created_at  # the left-cusp event that first creates it
-        self._diagram = diagram
-
-    @property
-    def segments(self) -> tuple[tuple[int, int], ...]:
-        return tuple((gap, slot) for gap, slot, _arc in self._diagram._segments(self.index))
 
 
 def components(diagram: FrontDiagram) -> list[Component]:
     """Components in canonical order (earliest creating event first)."""
-    return [Component(c, g, diagram) for c, g in enumerate(diagram._created_at)]
+    return [Component(c, g) for c, g in enumerate(diagram._created_at)]
 
 
 def _check_component(diagram: FrontDiagram, c: int) -> None:
@@ -286,20 +253,37 @@ def stabilize_diagram(
 ) -> FrontDiagram:
     """Insert one zig-zag on component ``c``.
 
-    ``at`` indexes into the component's strand segments, ordered by
-    (gap, slot); the two-event rewrite is inserted at that point. A down
-    zig-zag yields tb - 1, r + 1; an up zig-zag yields tb - 1, r - 1.
+    ``at`` indexes the component's segments, ordered by (gap, slot): gap g
+    lies between events g-1 and g, and slot 0 is the topmost strand in it.
+    The two-event rewrite goes in at that point: a down zig-zag yields
+    tb - 1, r + 1, an up zig-zag tb - 1, r - 1. One replay of the strand
+    heights, one step per event as in the trace sweep, counts the
+    component's strands in each gap from the cusps and scans only the gap
+    of segment ``at``.
     """
     if direction not in (UP, DOWN):
         raise InvalidParams(f"direction must be 'up' or 'down', got {direction!r}")
     _check_component(diagram, c)
-    count = 0  # the replay stops at segment ``at``; it reads them all to refuse
-    for gap, slot, arc in diagram._segments(c):
-        if count == at:
+    comp = diagram._comp
+    heights: list[int] = []  # the arc at each strand height, as the trace numbers them
+    created = alive = seen = 0  # arcs made; c's strands in this gap; in earlier gaps
+    for g, (kind, i) in enumerate(diagram.events):
+        if kind == LEFT_CUSP:
+            heights[i:i] = (created, created + 1)
+            alive += 2 if comp[created] == c else 0
+            created += 2
+        elif kind == RIGHT_CUSP:
+            alive -= 2 if comp[heights[i]] == c else 0
+            del heights[i : i + 2]
+        else:
+            heights[i], heights[i + 1] = heights[i + 1], heights[i]
+        if 0 <= at - seen < alive:
+            gap = g + 1
+            slot, arc = [(s, a) for s, a in enumerate(heights) if comp[a] == c][at - seen]
             break
-        count += 1
+        seen += alive
     else:
-        raise InvalidInsertionPoint(f"insertion point {at} with {count} segments")
+        raise InvalidInsertionPoint(f"insertion point {at} with {seen} segments")
     rightward = diagram._sign[arc] > 0
     # On a rightward strand a down zig-zag dips below (left cusp under the
     # strand, right cusp merging into it); on a leftward strand the roles swap.

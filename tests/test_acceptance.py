@@ -23,6 +23,8 @@ from steinkit.fronts import (
     StabilizationSchedule,
 )
 
+import trace_oracle
+
 
 def coprime_pairs(bound):
     for p in range(2, bound + 1):
@@ -150,7 +152,7 @@ class TestAcceptance:
                 assert (inv.tb + inv.r) % 2 == 1
             # stabilization delta on a random component / insertion point
             c = rng.randrange(len(comps))
-            at = rng.randrange(len(comps[c].segments))
+            at = rng.randrange(len(trace_oracle._Trace(d).components[c].segments))
             direction = rng.choice([fronts.UP, fronts.DOWN])
             before = fronts.invariants(d, c)
             out = fronts.stabilize_diagram(d, c, direction, at)

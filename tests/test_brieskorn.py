@@ -182,7 +182,7 @@ class TestMilnorInvariants:
             brieskorn.milnor_invariants(BrieskornTriple(*triple))
 
     def test_seifert_cross_check_raises(self, monkeypatch):
-        monkeypatch.setattr(brieskorn, "_min_abs_residues", lambda r, m: [r % m + 1])
+        monkeypatch.setattr(brieskorn, "_min_abs_residue", lambda r, m: r % m + 1)
         with pytest.raises(InvariantViolation):
             seifert_data(BrieskornTriple(2, 3, 7))
 

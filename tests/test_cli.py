@@ -345,6 +345,32 @@ class TestTypedFailures:
             f"WorkBudgetExceeded: the front has 800000 events, more than {fronts.EVENT_BUDGET}\n"
         )
 
+    def test_front_stabilize_wide(self, tmp_path):
+        """One component of 49,998 strands and 99,995 events: 24,999 nested
+        left cusps, the top strand crossed down to the bottom, 24,999 right
+        cusps. It has 3,749,650,008 segments, and an insertion point past
+        the end, before the start or at the last segment is answered within
+        5 s."""
+        text = "L 0\n" * 24999 + "".join(f"X {i}\n" for i in range(49997)) + "R 0\n" * 24999
+        path = tmp_path / "w50k.front"
+        path.write_text(text, encoding="utf-8")
+        stabilize = ("front", "stabilize", str(path), "--component", "0", "--dir", "up", "--at")
+        for at in ("1000000000000", "-1", "3749650007"):
+            start = time.perf_counter()
+            proc = run_process(*stabilize, at)
+            assert time.perf_counter() - start < 5
+            if at == "3749650007":
+                # the zig-zag goes in the last gap, before the last right cusp
+                assert proc.returncode == 0 and proc.stderr == ""
+                lines = proc.stdout.splitlines()
+                assert lines[:-3] + lines[-1:] == text.splitlines()
+                assert lines[-3:-1] == ["L 1", "R 2"]
+            else:
+                self.assert_typed(proc, "InvalidInsertionPoint")
+                assert proc.stderr == (
+                    f"InvalidInsertionPoint: insertion point {at} with 3749650008 segments\n"
+                )
+
 
 def test_closed_stdout_exits_0():
     """A reader that stops after one line (``| head -1``) ends the run with

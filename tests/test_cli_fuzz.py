@@ -11,7 +11,9 @@ and of ``sigma-sweep``, ``casson-harer`` and ``theta-survey``, whose row
 counts are bounded before any work. Each run must exit 0, 1 or 2, print
 at most one stderr line on exits 0 and 1, and never raise out of ``main``
 or print a traceback; the commands with a budget or O(1) work must also
-end within 5 s.
+end within 5 s. Fronts of large structure (many components, deep nesting,
+wide components) go to ``front stats`` and ``front stabilize`` under the
+same 5-s bound.
 """
 
 import contextlib
@@ -105,6 +107,64 @@ def test_typed_exit(content, args, as_json):
         with open(path, "wb") as fh:
             fh.write(content)
         run_main([*args[:2], path, *args[2:], *(["--json"] if as_json else [])])
+
+
+def wide_front(m):
+    """One component of 2m strands: m left cusps, the top strand crossed down
+    to the bottom, then m right cusps. It has 6m^2 - 2m segments."""
+    return "L 0\n" * m + "".join(f"X {i}\n" for i in range(2 * m - 1)) + "R 0\n" * m
+
+
+def up_to(low, high):
+    """An int in [low, high], ``high`` itself about half the time."""
+    return st.one_of(st.just(high), st.integers(low, high))
+
+
+# (front text, segment count of each component), for the shapes that ran
+# without bound: many disjoint unknots, deep nesting (component c of n has
+# 2(2n - 1 - 2c) segments), one wide component, and a few hundred wide
+# components side by side.
+LARGE_FRONT = st.one_of(
+    up_to(1, 1200).map(lambda k: ("L 0\nR 0\n" * k, [2] * k)),
+    up_to(1, 50000).map(
+        lambda n: ("L 0\n" * n + "R 0\n" * n, [2 * (2 * n - 1 - 2 * c) for c in range(n)])
+    ),
+    up_to(1, 25000).map(lambda m: (wide_front(m), [6 * m * m - 2 * m])),
+    st.builds(
+        lambda k, m: (wide_front(m) * k, [6 * m * m - 2 * m] * k),
+        up_to(100, 400), up_to(2, 60),
+    ),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(front=LARGE_FRONT, data=st.data())
+def test_large_structure_typed_exit(front, data):
+    """``front stats`` and ``front stabilize`` at an insertion point before
+    the start, in range or past the end: each run ends in exit 0 or 1, on
+    at most one stderr line, within 5 s."""
+    text, counts = front
+    c = data.draw(st.integers(0, len(counts) - 1))
+    at = data.draw(st.one_of(
+        st.integers(max_value=-1),
+        st.integers(0, counts[c] - 1),
+        st.integers(min_value=counts[c]),
+    ))
+    direction = data.draw(st.sampled_from(["up", "down"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "large.front")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (
+            ["front", "stats", path],
+            ["front", "stabilize", path, "--component", str(c), "--dir", direction,
+             "--at", str(at)],
+        ):
+            start = time.perf_counter()
+            proc = run_process(*argv)
+            assert time.perf_counter() - start < 5
+            assert proc.returncode in (0, 1), proc.stderr
+            assert len(proc.stderr.splitlines()) <= 1 and "Traceback" not in proc.stderr
 
 
 # Distinct primes make valid triples and (p, q) pairs; two of 1009, 1013 and

@@ -33,6 +33,7 @@ from steinkit import fronts
 from steinkit.errors import (
     ComponentOutOfRange,
     EmptyDiagram,
+    InvalidInsertionPoint,
     InvalidPosition,
     MalformedToken,
     UnbalancedDiagram,
@@ -192,17 +193,30 @@ def _expect(ok: bool, what: str) -> None:
 
 def check_agreement(d: FrontDiagram, stabilize_at=None) -> None:
     """Raise ``AssertionError`` unless the thread trace of ``d`` matches the
-    oracle: component order, ``created_at``, ``segments``, crossing signs,
-    tb, r, every linking number, and the word ``stabilize_diagram`` makes at
-    each ``(c, direction, at)`` of ``stabilize_at`` (by default: both
-    directions at the first, middle and last segment of every component)."""
+    oracle: component order, ``created_at``, crossing signs, tb, r, every
+    linking number, the refusal of the insertion point one past each
+    component's last segment with the oracle's segment count, and the word
+    ``stabilize_diagram`` makes at each ``(c, direction, at)`` of
+    ``stabilize_at`` (by default: both directions at the first, middle and
+    last segment of every component)."""
     tr = _Trace(d)
     comps = fronts.components(d)
     _expect(
-        [(c.index, c.created_at, c.segments) for c in comps]
-        == [(c.index, c.created_at, c.segments) for c in tr.components],
+        [(c.index, c.created_at) for c in comps]
+        == [(c.index, c.created_at) for c in tr.components],
         "components differ",
     )
+    for c in tr.components:
+        n = len(c.segments)
+        try:
+            fronts.stabilize_diagram(d, c.index, UP, n)
+        except InvalidInsertionPoint as exc:
+            _expect(
+                str(exc) == f"insertion point {n} with {n} segments",
+                f"component {c.index}: {exc}",
+            )
+        else:
+            raise AssertionError(f"component {c.index}: insertion point {n} taken")
     _expect(
         [d._sign[a] * d._sign[b] for a, b in d._crossings]
         == [tr.direction[a] * tr.direction[b] for _g, a, b in tr.crossings],
