@@ -26,6 +26,11 @@ exactly as ``argparse`` would go to ``build_parser()``, the parser of every
 command, which prints them (``tests/test_cli_golden.py`` checks that both
 paths print the same).
 
+Every integer, on argv or in a file, is ASCII ``-?[0-9]+`` of at most 4,300
+digits, read by ``errors.integer``: a bad one on argv is a usage error
+(exit 2), and in a file a ``MalformedToken`` (exit 1). A file over
+``READ_BUDGET`` bytes (4 MiB) is refused before it is decoded.
+
 Exit codes: 0 on success, 1 on domain errors (typed error name on stderr),
 2 on usage errors, 3 on a failed internal cross-check (``InvariantViolation``).
 A reader that closes stdout early (``| head``) ends the run with exit 0.
@@ -40,7 +45,7 @@ import sys
 import types
 
 from .errors import (
-    DomainError, ExcludedCase, InvariantViolation, MalformedToken, WorkBudgetExceeded,
+    DomainError, ExcludedCase, InvariantViolation, MalformedToken, WorkBudgetExceeded, integer,
 )
 
 # Most rows ``brieskorn sigma-sweep``, ``brieskorn casson-harer`` and ``check
@@ -48,6 +53,11 @@ from .errors import (
 # row costs O(log) integer steps, so a run at the budget takes one to three
 # seconds (Python 3.11 on one core of an x86-64 host).
 WORK_BUDGET = 10**5
+
+# Most bytes a front or Kirby file may have, checked before it is decoded.
+# A front the other budgets take is at most about 1 MB but for padding
+# (comments, blank lines, spaces, leading zeros, repeated flip lines).
+READ_BUDGET = 2**22
 
 # "name" or "group name" -> (function, arguments), in registration order
 COMMANDS: dict[str, tuple] = {}
@@ -180,7 +190,7 @@ def _triple(args):
 def _parse_schedule(text: str) -> tuple[int, int]:
     try:
         up_s, down_s = text.split(",")
-        return int(up_s), int(down_s)
+        return integer(up_s), integer(down_s)
     except ValueError:
         import argparse  # only argparse reports this error
         raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}") from None
@@ -376,10 +386,14 @@ class UsageExit(Exception):
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(READ_BUDGET + 1)
     except OSError as exc:
         raise UsageExit(str(exc)) from None
+    if len(data) > READ_BUDGET:
+        raise WorkBudgetExceeded(f"{path} is over {READ_BUDGET} bytes")
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedToken(
             f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
@@ -391,8 +405,8 @@ def _spec(arg) -> tuple[str, dict]:
     if isinstance(arg, tuple):
         return arg
     if arg.startswith("--"):
-        return arg, {"type": int, "required": True}
-    return arg, {"type": int}
+        return arg, {"type": integer, "required": True}
+    return arg, {"type": integer}
 
 
 def _is_value(token: str) -> bool:
@@ -497,8 +511,8 @@ def main(argv=None) -> int:
         print(f"InvariantViolation: {exc}", file=sys.stderr)
         return 3
     payload, lines = result if isinstance(result, tuple) else (result, None)
-    # Inputs stay under the 4,300-digit limit on int(), but an exact result,
-    # a polynomial in them, may not; the limit is lifted only to print it.
+    # Inputs stay under Python's 4,300-digit limit, but an exact result, a
+    # polynomial in them, may not; the limit is lifted only to print it.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

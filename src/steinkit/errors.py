@@ -3,7 +3,9 @@
 Every failure mode that callers (and the CLI) are expected to distinguish
 gets its own class. The CLI prints ``type(e).__name__`` and exits 1, so
 these names are part of the external contract. ``brief`` formats the
-numbers in a message.
+numbers in a message, and ``integer`` reads every integer from outside,
+on argv or in a file (the CLI loads this module, so no command imports
+another layer for it).
 """
 
 
@@ -20,6 +22,19 @@ def brief(value) -> str:
     if -(10**100) < n < 10**100:
         return str(n)
     return f"{'-' if n < 0 else ''}<integer of {n.bit_length()} bits>"
+
+
+def integer(token: str) -> int:
+    """The integer ``token`` spells as ASCII ``-?[0-9]+``, or ValueError,
+    also when it is too long for ``int()``. Its name is the type that
+    ``argparse`` names in a usage error: ``invalid integer value: 'x'``."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise ValueError("integer too long") from None
 
 
 class DomainError(Exception):

@@ -48,10 +48,9 @@ from typing import NamedTuple
 from .errors import (
     ComponentOutOfRange, EmptyDiagram, InvalidInsertionPoint, InvalidParams, InvalidPosition,
     InvariantViolation, MalformedToken, SameComponent, UnbalancedDiagram, WorkBudgetExceeded,
+    integer,
 )
-from .legendrian import (
-    LegendrianInvariants, StabilizationSchedule, StrictRecord, TorusKnotParams, _int_token,
-)
+from .legendrian import LegendrianInvariants, StabilizationSchedule, StrictRecord, TorusKnotParams
 
 LEFT_CUSP = "L"
 RIGHT_CUSP = "R"
@@ -359,7 +358,10 @@ def parse_front(text: str) -> FrontDiagram:
         if len(parts) != 2:
             raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
         tag, arg = parts
-        value = _int_token(arg, lineno)
+        try:
+            value = integer(arg)
+        except ValueError as exc:
+            raise MalformedToken(f"line {lineno}: {exc}") from None
         if tag == "flip":
             if value < 0:
                 raise MalformedToken(f"line {lineno}: negative flip index")

@@ -16,9 +16,9 @@ from typing import NamedTuple
 from . import linalg
 from .errors import (
     AsymmetricLinking, ExcludedCase, FramingMismatch, InvalidParams, InvariantViolation,
-    MalformedToken, ParityViolation, WorkBudgetExceeded, brief,
+    MalformedToken, ParityViolation, WorkBudgetExceeded, brief, integer,
 )
-from .legendrian import TorusKnotParams, _int_token
+from .legendrian import TorusKnotParams
 
 # Most 2-handles k, and most k times the bit length of the largest framing,
 # rotation or linking number, in a Kirby file: ``linalg.form`` takes k^3 / 6
@@ -26,6 +26,9 @@ from .legendrian import TorusKnotParams, _int_token
 # analyze`` of a dense form takes 1.2 s (Python 3.11, one x86-64 core).
 HANDLE_BUDGET = 150
 BIT_BUDGET = 1000
+
+# integers on each kind of Kirby file line
+_TOKENS = {"1-handles": 1, "handle": 3, "lk": 3}
 
 
 class TwoHandle(NamedTuple):
@@ -194,30 +197,31 @@ def parse_kirby(text: str) -> SteinKirbyData:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "1-handles" and len(parts) == 2:
+        tag, *tokens = line.split()
+        if len(tokens) != _TOKENS.get(tag):
+            raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
+        if tag == "handle":
+            keys, _, tokens = zip(*(t.partition("=") for t in tokens))
+        try:
+            values = list(map(integer, tokens))
+        except ValueError as exc:
+            raise MalformedToken(f"line {lineno}: {exc}") from None
+        if tag == "1-handles":
             if one_handles is not None:
                 raise MalformedToken(f"line {lineno}: duplicate 1-handles line")
-            one_handles = _int_token(parts[1], lineno)
-        elif parts[0] == "handle" and len(parts) == 4:
-            fields = {}
-            for part in parts[1:]:
-                key, _, value = part.partition("=")
-                fields[key] = _int_token(value, lineno)
+            (one_handles,) = values
+        elif tag == "handle":
+            fields = dict(zip(keys, values))
             if set(fields) != {"tb", "r", "framing"}:
                 raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
-            handles.append(
-                TwoHandle(tb=fields["tb"], r=fields["r"], framing=fields["framing"])
-            )
-        elif parts[0] == "lk" and len(parts) == 4:
-            i, j, value = (_int_token(t, lineno) for t in parts[1:])
+            handles.append(TwoHandle(**fields))
+        else:
+            i, j, value = values
             if not 0 <= i < j:
                 raise MalformedToken(f"line {lineno}: need 0 <= i < j")
             if (i, j) in links:
                 raise MalformedToken(f"line {lineno}: duplicate lk {i} {j} line")
             links[i, j] = value
-        else:
-            raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
     k = len(handles)
     if k > HANDLE_BUDGET:
         raise WorkBudgetExceeded(f"{k} 2-handles, more than {HANDLE_BUDGET}")

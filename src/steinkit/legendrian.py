@@ -1,13 +1,15 @@
 """Legendrian knots by their invariants: (tb, r) pairs, zig-zag schedules
-and torus-knot parameters, with no diagrams; and what the layers share,
-``StrictRecord`` (records that are not tuples) and ``_int_token`` (file
-integers). ``fronts`` builds on it; other layers import it without ``fronts``.
+and torus-knot parameters, with no diagrams; and ``StrictRecord``, records
+that are not tuples, which the layers share. ``fronts`` builds on it; other
+layers import it without ``fronts``. Integers from a file or argv reach it
+through ``errors.integer``: each is ASCII ``-?[0-9]+`` of at most 4,300
+digits.
 """
 
 import math
 from typing import NamedTuple
 
-from .errors import InvalidParams, MalformedToken
+from .errors import InvalidParams
 
 
 class LegendrianInvariants(NamedTuple):
@@ -107,14 +109,3 @@ def reachable(
         return None
     return StabilizationSchedule(up=up, down=down)
 
-
-def _int_token(token: str, lineno: int) -> int:
-    """The integer a file token spells as ``-?[0-9]+``, or MalformedToken
-    (also when it is too long for ``int()``)."""
-    digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise MalformedToken(f"line {lineno}: bad integer {token!r}")
-    try:
-        return int(token)
-    except ValueError:  # more digits than int() converts
-        raise MalformedToken(f"line {lineno}: integer too long") from None

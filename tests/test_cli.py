@@ -371,6 +371,37 @@ class TestTypedFailures:
                     f"InvalidInsertionPoint: insertion point {at} with 3749650008 segments\n"
                 )
 
+    @pytest.mark.parametrize("name", ["long.front", "/dev/zero"])
+    def test_read_budget(self, tmp_path, name):
+        """A file of ``READ_BUDGET`` + 1 bytes, or one without end, is refused
+        after that many bytes are read, within 5 s."""
+        path = tmp_path / name
+        if name == "long.front":
+            path.write_bytes(padded_unknot(cli.READ_BUDGET + 1))
+        elif not path.exists():
+            pytest.skip(f"no {name}")
+        start = time.perf_counter()
+        proc = run_process("front", "stats", str(path))
+        assert time.perf_counter() - start < 5
+        self.assert_typed(proc, "WorkBudgetExceeded")
+        assert proc.stderr == f"WorkBudgetExceeded: {path} is over {cli.READ_BUDGET} bytes\n"
+
+
+def padded_unknot(size: int) -> bytes:
+    """The unknot in a front file of ``size`` bytes, padded by a comment."""
+    head = b"L 0\nR 0\n#"
+    return head + b"x" * (size - len(head))
+
+
+def test_file_at_read_budget(tmp_path):
+    """A file of exactly ``READ_BUDGET`` bytes is still read."""
+    path = tmp_path / "padded.front"
+    path.write_bytes(padded_unknot(cli.READ_BUDGET))
+    proc = run_process("front", "stats", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "components=1\ncomponent 0: tb=-1 r=0\n", ""
+    )
+
 
 def test_closed_stdout_exits_0():
     """A reader that stops after one line (``| head -1``) ends the run with

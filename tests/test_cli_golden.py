@@ -1,7 +1,8 @@
 """Golden CLI outputs: exact stdout, first stderr line and exit code.
 
 Every subcommand is pinned in table and ``--json`` form, with one domain
-error and two usage errors. The expected data is in ``cli_golden.json``;
+error and six usage errors, four of them integers that ``int()`` takes and
+``errors.integer`` does not. The expected data is in ``cli_golden.json``;
 ``python tests/test_cli_golden.py`` rewrites it from the current code, so
 run that only for an intended output change and say so in CHANGES.
 
@@ -25,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit import cli
+from steinkit import cli, handlebody
+from steinkit.errors import InvalidParams, MalformedToken, integer
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -87,6 +89,11 @@ CASES = [
     (["check", "embed", "2", "5", "-1"], {}),
     (["brieskorn", "surgery", "2", "3", "1", "x"], {}),
     (["brieskorn", "invariants", "2", "3"], {}),
+    # integers that int() takes and the integer reader does not
+    (["nucleus", "2", "3", "1_0"], {}),
+    (["nucleus", "2", "3", "\u0663"], {}),
+    (["nucleus", "2", "3", " 5"], {}),
+    (["torus-knot", "2", "3", "--stabilize", "1_0,0"], {}),
 ]
 
 
@@ -192,6 +199,7 @@ def test_usage_line_names_every_command(tmp_path):
 
 ODD_INTS = ["-0", "1_0", "\u0663", "-\u0663", "\u00b2", " -5", "-5 ", "-5\n", "1.5", "x",
             "", "9" * 5000, "-" + "9" * 5000]
+PLAIN_INTS = ["10", "3", "-3", "-5"]  # what 1_0, \u0663, -\u0663 and " -5" spell in ASCII
 MOSTLY = st.sampled_from([True] * 9 + [False])  # hypothesis favours the first
 ODD_TOKENS = ["-h", "--help", "--", "--tb=1", "--json=1", "-", "-1,0", "front", "extra"]
 
@@ -199,7 +207,7 @@ ODD_TOKENS = ["-h", "--help", "--", "--tb=1", "--json=1", "-", "-1,0", "front", 
 def _values(kwargs: dict):
     """Values for an argument: well-formed mostly, and the odd ones that
     ``argparse`` reads in a way of its own."""
-    if kwargs.get("type") is int:
+    if kwargs.get("type") is integer:
         return st.one_of(*[st.integers(-3, 9).map(str)] * 9, st.sampled_from(ODD_INTS))
     if "choices" in kwargs:
         return st.sampled_from([*kwargs["choices"], "side", "-1"])
@@ -258,9 +266,12 @@ def test_reader_matches_argparse(argv):
 
 def test_reader_matches_argparse_on_one_edit():
     """Every golden command argv with one token replaced, inserted or
-    deleted, over the odd tokens and the command's own option names."""
-    bases = {}  # the longest argv of each command, without the three errors
-    for argv, _ in CASES[:-3]:
+    deleted, over the odd tokens, plain integers and the command's own
+    option names."""
+    bases = {}  # the longest argv of each command, without the errors
+    for (argv, _), golden in zip(CASES, expected()):
+        if golden["exit"]:
+            continue
         name = next(n for n in cli.COMMANDS if argv[: n.count(" ") + 1] == n.split())
         argv = [a[1:] if a[:1] == "@" else a for a in argv]
         bases[name] = max(bases.get(name, []), argv, key=len)
@@ -268,14 +279,52 @@ def test_reader_matches_argparse_on_one_edit():
     for name, argv in bases.items():
         words = name.count(" ") + 1
         options = [a for a in argv if a.startswith("--")]
-        pool = [*ODD_TOKENS, *ODD_INTS, *options, *(o[:4] for o in options), "up", "1,2"]
+        pool = [*ODD_TOKENS, *ODD_INTS, *PLAIN_INTS, *options, *(o[:4] for o in options)]
+        pool += ["up", "1,2"]
         for at in range(words, len(argv) + 1):
             edits = [argv[:at] + [t] + argv[at:] for t in pool]
             if at < len(argv):
                 edits += [argv[:at] + argv[at + 1:]]
                 edits += [argv[:at] + [t] + argv[at + 1:] for t in pool]
             taken += sum(map(check_reader, edits))
-    assert taken > 300  # of about 5,800 edits
+    assert taken > 300  # of about 6,500 edits
+
+
+# Tokens with no whitespace and no "#": mixtures of digits and the marks
+# int() takes, signed integers with leading zeros, runs of digits at and
+# over Python's 4,300-digit limit, and any short text.
+TOKENS = st.one_of(
+    st.text("0123456789_+-\u0663\u00b2x", max_size=8),
+    st.builds(
+        "{}{}{}".format, st.sampled_from(["", "-", "+"]), st.sampled_from(["", "0", "00"]),
+        st.integers(0, 10**12),
+    ),
+    st.builds(
+        "{}{}".format, st.sampled_from(["", "-", "1_", "\u0663"]),
+        st.sampled_from(["9" * 4300, "9" * 4301, "1" * 5000]),
+    ),
+    st.text(st.characters(), max_size=6),
+).filter(lambda token: not any(c.isspace() or c == "#" for c in token))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKENS)
+def test_files_and_argv_take_the_same_integers(token):
+    """A Kirby file reads ``token`` exactly when ``argparse`` reads it as an
+    int argument, and as the same integer."""
+    try:
+        read = handlebody.parse_kirby(f"1-handles {token}\n").one_handles
+    except MalformedToken:
+        read = None
+    except InvalidParams:  # a negative count: read, then refused
+        read = "negative"
+    argv = ["check", "slice", "--tb", token, "--r", "0", "--g", "1"]
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = PARSER.parse_args(argv).tb
+        except SystemExit:
+            parsed = None
+    assert read == (parsed if parsed is None or parsed >= 0 else "negative"), token
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from steinkit.errors import (
     InvalidPosition,
     MalformedToken,
     UnbalancedDiagram,
+    integer,
 )
 from steinkit.fronts import (
     CROSSING,
@@ -312,7 +313,10 @@ def parse_front(text: str) -> CheckedFront:
         if len(parts) != 2:
             raise MalformedToken(f"line {lineno}: {raw.strip()!r}")
         tag, arg = parts
-        value = fronts._int_token(arg, lineno)
+        try:
+            value = integer(arg)
+        except ValueError as exc:
+            raise MalformedToken(f"line {lineno}: {exc}") from None
         if tag == "flip":
             if value < 0:
                 raise MalformedToken(f"line {lineno}: negative flip index")
@@ -423,12 +427,13 @@ def random_front_text(rng: random.Random) -> tuple[str, str]:
 
 
 def _raised_in_parser(exc: BaseException) -> bool:
-    """Whether ``exc`` was raised by ``fronts.parse_front`` itself (or its
-    integer reader), not by the diagram it builds."""
+    """Whether ``exc`` was raised by ``fronts.parse_front`` itself, not by
+    the diagram it builds. A bad integer is one: ``parse_front`` raises the
+    ``MalformedToken`` for the ``ValueError`` of ``errors.integer``."""
     tb = exc.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
-    return tb.tb_frame.f_code in (fronts.parse_front.__code__, fronts._int_token.__code__)
+    return tb.tb_frame.f_code is fronts.parse_front.__code__
 
 
 def check_parse_agreement(text: str, shifted: str) -> str:
