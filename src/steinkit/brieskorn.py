@@ -12,9 +12,10 @@ Each D(h, k) is read off the continued fraction h/k = [0; a1, ..., an]
 in one Euclid pass (Hickerson, 1977), so sigma costs O(log pqr) integer
 steps and needs no work budget. Two lattice-point counts, Brieskorn's
 triple loop and one interval of x3 per (x1, x2), are its test oracles.
-The division by 3a and the closed forms check exact divisibility; a
-failed cross-check raises ``InvariantViolation``, so ``python -O`` keeps
-them.
+At run time ``milnor_invariants`` checks sigma against its closed form,
+|sigma| <= b2 and theta = 2 mod 4, and each division checks it is exact; a
+failed check raises ``InvariantViolation``, so ``python -O`` keeps them.
+The closed form of theta is a test oracle only (see ``milnor_invariants``).
 
 The records are ``NamedTuple``s; ``BrieskornTriple`` and
 ``SurgeryDescription`` check their entries when built. ``OrientedBrieskorn``
@@ -81,13 +82,12 @@ class MilnorInvariants(NamedTuple):
     c1: int = 0
 
 
-def _check_pqn(p: int, q: int, n: int) -> TorusKnotParams:
+def _check_pqn(p: int, q: int, n: int) -> None:
     """The one check of the (p, q, n) that +-1/n surgery on T(p, q) and
-    its closed forms take."""
-    params = TorusKnotParams(p, q)
+    ``sigma_closed_form`` take."""
+    TorusKnotParams(p, q)
     if n < 1:
         raise InvalidParams(f"n must be positive, got {n}")
-    return params
 
 
 class _Surgery(NamedTuple):
@@ -131,12 +131,8 @@ def seifert_data(t: BrieskornTriple) -> SeifertData:
         raise InvariantViolation(
             f"{brief(remainder)} not divisible by {brief(p1 * p2)}"
         )
-    out = SeifertData(q1, q2, remainder // (p1 * p2))
-    if out.q1 * p2 * p3 + p1 * out.q2 * p3 + p1 * p2 * out.q3 != 1:
-        raise InvariantViolation(
-            f"Seifert data {brief(out)} of Sigma{brief(t)} does not sum to 1"
-        )
-    return out
+    # q3 * p1 * p2 is then the remainder, so the three terms sum to 1
+    return SeifertData(q1, q2, remainder // (p1 * p2))
 
 
 def surgery_to_brieskorn(s: SurgeryDescription) -> OrientedBrieskorn:
@@ -204,24 +200,13 @@ def sigma_closed_form(p: int, q: int, n: int) -> int:
     return numerator // 3
 
 
-def theta_closed_form(p: int, q: int, n: int) -> int:
-    """Plane-field invariant 2l(4 - n(2l - 2)) - 2 of the (p, q, npq-1)
-    Milnor fiber boundary, where 2l = (p-1)(q-1), so 2l - 2 = pq-p-q-1."""
-    two_l = 2 * _check_pqn(p, q, n).l
-    value = two_l * (4 - n * (two_l - 2)) - 2
-    if value % 4 != 2:
-        raise InvariantViolation(
-            f"theta {brief(value)} of {brief((p, q, n))} is not 2 mod 4"
-        )
-    return value
-
-
 def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
     """b2, chi, sigma and boundary theta of the Milnor fiber of ``t``.
 
-    When the triple has the form (p, q, npq - 1), sigma and theta are
-    cross-checked against the closed forms; sigma is also checked against
-    |sigma| <= b2, and theta against theta = 2 mod 4.
+    When the triple has the form (p, q, npq - 1), sigma is cross-checked
+    against ``sigma_closed_form``; sigma is also checked against
+    |sigma| <= b2, and theta against theta = 2 mod 4. Theta's closed form
+    is a test oracle, as theta = -3 sigma - 2 chi restates the sigma check.
     """
     b2 = (t.p1 - 1) * (t.p2 - 1) * (t.p3 - 1)
     chi = b2 + 1
@@ -232,12 +217,10 @@ def milnor_invariants(t: BrieskornTriple) -> MilnorInvariants:
     theta = c1 * c1 - 3 * sigma - 2 * chi
     p, q, third = sorted((t.p1, t.p2, t.p3))
     if (third + 1) % (p * q) == 0:
-        n = (third + 1) // (p * q)
-        closed = (sigma_closed_form(p, q, n), theta_closed_form(p, q, n))
-        if (sigma, theta) != closed:
+        closed = sigma_closed_form(p, q, (third + 1) // (p * q))
+        if sigma != closed:
             raise InvariantViolation(
-                f"Sigma{brief(t)}: (sigma, theta) = ({brief(sigma)}, {brief(theta)}), "
-                f"closed forms give ({brief(closed[0])}, {brief(closed[1])})"
+                f"Sigma{brief(t)}: sigma = {brief(sigma)}, closed form gives {brief(closed)}"
             )
     if abs(sigma) > b2:
         raise InvariantViolation(

@@ -161,10 +161,9 @@ def _front_payload(diagram) -> dict:
     per_comp = [
         {"index": c.index, **_asdict(fronts.invariants(diagram, c.index))} for c in comps
     ]
+    table = fronts.linking_matrix(diagram)
     linking = [
-        {"i": i, "j": j, "lk": fronts.linking_number(diagram, i, j)}
-        for i in range(k)
-        for j in range(i + 1, k)
+        {"i": i, "j": j, "lk": table[i][j]} for i in range(k) for j in range(i + 1, k)
     ]
     return {"components": per_comp, "linking": linking}
 
@@ -301,9 +300,10 @@ def _handlebody_analyze(args):
 def _nucleus(args):
     from . import handlebody
     data = handlebody.nucleus(args.p, args.q, args.n)
-    analysis = _fields(handlebody.analyze(data.kirby))
+    analysis = _fields(data.analysis)
     head = _fields(data)
     kirby = head.pop("kirby")
+    del head["analysis"]
     # ``l`` and ``fiber_genus`` are one number; the payload keeps both keys
     head = {"l": data.fiber_genus, **head}
     handles = kirby["two_handles"]

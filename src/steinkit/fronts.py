@@ -34,11 +34,11 @@ cusp, and runs opposite to both, so each component is one even cycle of
 arcs; a walk around each cycle gives the components (numbered by their
 creating left cusp) and every arc's direction. One pass over the crossing
 arc pairs then gives every signed crossing count, and with the cusps every
-tb, every r and the whole linking matrix; ``components``, ``invariants``
-and ``linking_number`` only look them up. The pairs stay as ``_crossings``
-for ``tests/trace_oracle.py``, which checks each crossing's sign. No
-segment is kept: ``stabilize_diagram`` replays the strand heights to find
-its insertion point.
+tb, every r and the whole linking matrix; ``components``, ``invariants``,
+``linking_number`` and ``linking_matrix`` only look them up. The pairs
+stay as ``_crossings`` for ``tests/trace_oracle.py``, which checks each
+crossing's sign. No segment is kept: ``stabilize_diagram`` replays the
+strand heights to find its insertion point.
 """
 
 from __future__ import annotations
@@ -245,6 +245,11 @@ def linking_number(diagram: FrontDiagram, c1: int, c2: int) -> int:
     _check_component(diagram, c1)
     _check_component(diagram, c2)
     return diagram._linking[c1][c2]
+
+
+def linking_matrix(diagram: FrontDiagram) -> list[list[int]]:
+    """A copy of the k x k table of ``linking_number``, with 0 on the diagonal."""
+    return [row[:] for row in diagram._linking]
 
 
 def stabilize_diagram(

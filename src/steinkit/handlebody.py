@@ -91,24 +91,20 @@ class NucleusData(NamedTuple):
     c1_pd: tuple[int, int]  # coefficients on the section and fiber classes
     c1_squared: int
     boundary: brieskorn.OrientedBrieskorn
+    analysis: FormAnalysis  # of ``kirby``
 
 
 def from_front(diagram: fronts.FrontDiagram) -> SteinKirbyData:
     """Kirby data of the Stein handlebody on a front: one 2-handle per
     component with framing tb - 1, linking matrix from the front."""
     from . import fronts  # only this function traces a diagram
-    comps = fronts.components(diagram)
     handles = []
-    for c in comps:
+    for c in fronts.components(diagram):
         inv = fronts.invariants(diagram, c.index)
         handles.append(TwoHandle(tb=inv.tb, r=inv.r, framing=inv.tb - 1))
-    k = len(comps)
-    linking = [[0] * k for _ in range(k)]
-    for i in range(k):
-        linking[i][i] = handles[i].framing
-        for j in range(i + 1, k):
-            lk = fronts.linking_number(diagram, i, j)
-            linking[i][j] = linking[j][i] = lk
+    linking = fronts.linking_matrix(diagram)
+    for i, h in enumerate(handles):
+        linking[i][i] = h.framing
     return SteinKirbyData(one_handles=0, two_handles=handles, linking=linking)
 
 
@@ -124,9 +120,10 @@ def analyze(data: SteinKirbyData) -> FormAnalysis:
     elif abs(det) == 1:
         if c1_squared.denominator != 1:
             raise InvariantViolation(f"c1^2 = {brief(c1_squared)} on a unimodular form")
-        if (c1_squared - sig) % 8 != 0:
+        c1_int = c1_squared.numerator
+        if (c1_int - sig) % 8 != 0:
             raise InvariantViolation(f"c1^2 = {brief(c1_squared)} != sigma = {sig} mod 8")
-        theta = int(c1_squared) - 2 * chi - 3 * sig
+        theta = c1_int - 2 * chi - 3 * sig
     return FormAnalysis(
         chi=chi, b2=k, det=det, signature=sig,
         c1_squared=c1_squared, theta_boundary=theta,
@@ -140,6 +137,11 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
     -n-framed Legendrian meridian; for n = 1 the section is blown down,
     leaving a single +1-framed handle on T(p,q). The boundary is
     -Sigma(p, q, npq - 1), the result of +1/n surgery on T(p,q).
+
+    ``analysis`` is ``analyze(kirby)``. This raises ``InvariantViolation``
+    unless its c1^2 is the pairing of ``c1_pd`` (plus 1, for the blow-down,
+    when n = 1) and its theta is minus the theta of the Milnor fiber,
+    which Sigma(p, q, npq - 1) bounds with the opposite orientation.
     """
     from . import brieskorn  # only this function names a Brieskorn sphere
     boundary = brieskorn.surgery_to_brieskorn(brieskorn.SurgeryDescription(p, q, n, 1))
@@ -165,13 +167,21 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
             ),
             linking=((0, 1), (1, -n)),
         )
-    c1_pd = (2 - 2 * l, 2 + n * (1 - 2 * l))
-    c1_squared = (2 - 2 * l) * (4 - 2 * n * l)
-    # Cross-check c1^2 against the pairing in the (section, fiber) basis:
-    # section^2 = -n, fiber^2 = 0, section.fiber = 1.
-    a, b = c1_pd
-    if -n * a * a + 2 * a * b != c1_squared:
-        raise InvariantViolation(f"c1^2 = {brief(c1_squared)} disagrees with the pairing")
+    a, b = c1_pd = (2 - 2 * l, 2 + n * (1 - 2 * l))
+    # the pairing in the (section, fiber) basis: section^2 = -n, section.fiber = 1
+    c1_squared = -n * a * a + 2 * a * b
+    analysis = analyze(kirby)
+    if analysis.c1_squared != c1_squared + (1 if n == 1 else 0):
+        raise InvariantViolation(
+            f"c1^2 = {brief(analysis.c1_squared)} of the Kirby data, "
+            f"{brief(c1_squared)} from c1_pd for n = {brief(n)}"
+        )
+    theta = -brieskorn.milnor_invariants(boundary.triple).theta_boundary
+    if analysis.theta_boundary != theta:
+        raise InvariantViolation(
+            f"theta = {brief(analysis.theta_boundary)} of the Kirby data, "
+            f"{brief(theta)} from the Milnor fiber of Sigma{brief(boundary.triple)}"
+        )
     return NucleusData(
         kirby=kirby,
         fiber_genus=l,
@@ -179,6 +189,7 @@ def nucleus(p: int, q: int, n: int) -> NucleusData:
         c1_pd=c1_pd,
         c1_squared=c1_squared,
         boundary=boundary,
+        analysis=analysis,
     )
 
 

@@ -1,6 +1,7 @@
 """The two lattice-point counts ``brieskorn.sigma_lattice`` used before
-the Dedekind-sum formula, and the two definitions of D(h, k) = 12k*s(h, k)
-that ``brieskorn._dedekind`` replaces, kept as oracles.
+the Dedekind-sum formula, the two definitions of D(h, k) = 12k*s(h, k)
+that ``brieskorn._dedekind`` replaces, and the closed form of theta that
+``brieskorn.milnor_invariants`` no longer compares with, kept as oracles.
 
 ``sigma_lattice`` below is Brieskorn's triple loop: it visits every
 lattice point. ``sigma_intervals`` counts one interval of x3 per (x1, x2)
@@ -114,6 +115,19 @@ def dedekind_reciprocity(h: int, k: int) -> int:
     if numerator % h != 0:
         raise AssertionError(f"reciprocity step at ({h}, {k}) is not exact")
     return numerator // h
+
+
+def theta_closed_form(p: int, q: int, n: int) -> int:
+    """Plane-field invariant 2l(4 - n(2l - 2)) - 2 of the (p, q, npq-1)
+    Milnor fiber boundary, where 2l = (p-1)(q-1), so 2l - 2 = pq-p-q-1,
+    for a valid (p, q, n).
+
+    It is -3 * sigma_closed_form - 2 * chi, with chi = b2 + 1 of the fiber,
+    so ``milnor_invariants``, which derives theta from sigma, compares only
+    sigma with a closed form; ``handlebody.nucleus`` checks its theta
+    against the nucleus instead."""
+    two_l = (p - 1) * (q - 1)
+    return two_l * (4 - n * (two_l - 2)) - 2
 
 
 def _outcome(count, t):

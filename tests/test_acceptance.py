@@ -24,6 +24,7 @@ from steinkit.fronts import (
 )
 
 import trace_oracle
+from brieskorn_oracle import theta_closed_form
 
 
 def coprime_pairs(bound):
@@ -76,7 +77,7 @@ class TestAcceptance:
                     BrieskornTriple(p, q, n * p * q - 1)
                 )
                 theta = -2 * inv.chi - 3 * inv.sigma
-                assert theta == brieskorn.theta_closed_form(p, q, n)
+                assert theta == theta_closed_form(p, q, n)
                 assert theta % 4 == 2
 
     def test_criterion_3(self, report):
@@ -121,7 +122,7 @@ class TestAcceptance:
                 assert analysis.chi == 3
                 assert analysis.signature == 0
                 assert analysis.c1_squared == (2 - 2 * l) * (4 - 2 * n * l)
-                assert analysis.theta_boundary == -brieskorn.theta_closed_form(p, q, n)
+                assert analysis.theta_boundary == -theta_closed_form(p, q, n)
 
     def test_criterion_7(self, report):
         for p, q in coprime_pairs(10):

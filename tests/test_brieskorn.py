@@ -4,7 +4,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from brieskorn_oracle import theta_closed_form
 from steinkit import brieskorn
 from steinkit.brieskorn import (
     BrieskornTriple,
@@ -14,7 +17,6 @@ from steinkit.brieskorn import (
     sigma_closed_form,
     sigma_lattice,
     surgery_to_brieskorn,
-    theta_closed_form,
 )
 from steinkit.errors import InvalidParams, InvariantViolation
 
@@ -142,6 +144,17 @@ class TestClosedForms:
             assert theta_closed_form(2, 3, n) == 6
         assert theta_closed_form(2, 7, 1) == -2
         assert theta_closed_form(3, 4, 1) == -2
+
+    @given(st.integers(2, 10**30), st.integers(1, 10**30), st.integers(1, 10**30))
+    def test_theta_is_minus_three_sigma_minus_two_chi(self, p, step, n):
+        """The identity that made a run-time comparison of theta with its
+        closed form restate the comparison of sigma with its own."""
+        q = p + step
+        assume(math.gcd(p, q) == 1)
+        chi = (p - 1) * (q - 1) * (n * p * q - 2) + 1
+        theta = theta_closed_form(p, q, n)
+        assert theta == -3 * sigma_closed_form(p, q, n) - 2 * chi
+        assert theta % 4 == 2
 
     def test_divisibility(self):
         for p, q in coprime_pairs(12):

@@ -290,7 +290,7 @@ def test_failed_cross_check_on_huge_sigma(monkeypatch):
     triple = (p, q, n * p * q - 1)
     sigma = brieskorn.sigma_lattice
     monkeypatch.setattr(brieskorn, "sigma_lattice", lambda t: sigma(t) + 8)
-    with pytest.raises(InvariantViolation, match="closed forms give"):
+    with pytest.raises(InvariantViolation, match="closed form gives"):
         brieskorn.milnor_invariants(brieskorn.BrieskornTriple(*triple))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -26,7 +26,6 @@ def test_torus_knot_params_checked_in_one_place(p, q):
     for call in (
         lambda: brieskorn.SurgeryDescription(p, q, 1, 1),
         lambda: brieskorn.sigma_closed_form(p, q, 1),
-        lambda: brieskorn.theta_closed_form(p, q, 1),
         lambda: handlebody.nucleus(p, q, 2),
         lambda: criteria.brieskorn_embed_plan(p, q, 1),
     ):
@@ -43,7 +42,6 @@ def test_surgery_params_checked_in_one_place(n):
         brieskorn.SurgeryDescription(2, 3, n, 1)
     for call in (
         lambda: brieskorn.sigma_closed_form(2, 3, n),
-        lambda: brieskorn.theta_closed_form(2, 3, n),
         lambda: handlebody.nucleus(2, 3, n),
     ):
         with pytest.raises(InvalidParams) as got:

@@ -180,6 +180,13 @@ class TestLinking:
         with pytest.raises(SameComponent):
             fronts.linking_number(fronts.parse_front(HOPF), 0, 0)
 
+    def test_matrix_is_a_copy_of_every_pair(self):
+        d = fronts.parse_front(HOPF + "L 0\nR 0\n")
+        table = fronts.linking_matrix(d)
+        assert table == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+        table[0][1] = 7
+        assert fronts.linking_matrix(d)[0][1] == fronts.linking_number(d, 0, 1) == 1
+
 
 class TestStabilization:
     def test_down_then_up(self):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinkit import brieskorn, fronts, handlebody, linalg
+from brieskorn_oracle import theta_closed_form
+from steinkit import brieskorn, cli, fronts, handlebody, linalg
 from steinkit.errors import (
     AsymmetricLinking,
     ExcludedCase,
@@ -161,7 +162,7 @@ class TestAnalyze:
         assert analysis.signature == 0
         assert analysis.c1_squared == 0
         assert analysis.theta_boundary == -6
-        assert -analysis.theta_boundary == brieskorn.theta_closed_form(2, 3, 2)
+        assert -analysis.theta_boundary == theta_closed_form(2, 3, 2)
 
     def test_nucleus_342_c1_squared(self):
         analysis = handlebody.analyze(handlebody.nucleus(3, 4, 2).kirby)
@@ -222,7 +223,7 @@ class TestNucleus:
                 assert data.kirby.two_handles == (TwoHandle(tb=2, r=3 - 2 * l, framing=1),)
                 assert str(data.boundary) == f"-Sigma({p},{q},{p * q - 1})"
                 analysis = handlebody.analyze(data.kirby)
-                assert analysis.theta_boundary == -brieskorn.theta_closed_form(p, q, 1)
+                assert analysis.theta_boundary == -theta_closed_form(p, q, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_family_consistency(self, n):
@@ -237,7 +238,7 @@ class TestNucleus:
                 assert analysis.chi == 3
                 assert analysis.signature == 0
                 assert analysis.c1_squared == (2 - 2 * l) * (4 - 2 * n * l)
-                assert analysis.theta_boundary == -brieskorn.theta_closed_form(p, q, n)
+                assert analysis.theta_boundary == -theta_closed_form(p, q, n)
 
     def test_gluing_identity(self):
         assert gluing_sweep() == (849, [(2, 3, 1)])
@@ -252,6 +253,40 @@ class TestNucleus:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "(849, [(2, 3, 1)])\n"
+
+    def test_milnor_theta_off_by_four_raises(self, monkeypatch, capsys):
+        """A Milnor fiber theta off by 4 is still 2 mod 4, so only the
+        nucleus's gluing check catches it: exit 3 on one stderr line."""
+        milnor = brieskorn.milnor_invariants
+
+        def off_by_four(t):
+            inv = milnor(t)
+            return inv._replace(theta_boundary=inv.theta_boundary + 4)
+
+        monkeypatch.setattr(brieskorn, "milnor_invariants", off_by_four)
+        with pytest.raises(InvariantViolation, match="^theta = "):
+            handlebody.nucleus(3, 4, 2)
+        assert cli.main(["nucleus", "3", "4", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("InvariantViolation: theta = ")
+
+    def test_form_c1_squared_off_by_eight_raises(self, monkeypatch, capsys):
+        """A c1^2 off by 8 is still sigma mod 8, so only the nucleus's
+        comparison with the pairing of c1_pd catches it."""
+        form = linalg.form
+
+        def off_by_eight(linking, rotation):
+            det, sig, c1_squared = form(linking, rotation)
+            return det, sig, c1_squared + 8
+
+        monkeypatch.setattr(linalg, "form", off_by_eight)
+        with pytest.raises(InvariantViolation, match=r"^c1\^2 = "):
+            handlebody.nucleus(3, 4, 2)
+        assert cli.main(["nucleus", "3", "4", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("InvariantViolation: c1^2 = ")
 
 
 def gluing_sweep():
