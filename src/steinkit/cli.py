@@ -1,21 +1,24 @@
 """Command-line surface.
 
 Each subcommand is one function, registered with ``@command`` next to its
-argument list, that returns its payload dict; ``build_parser`` builds the
-argument parser from that registry. One renderer prints every payload:
+argument list, that returns its payload: a dict, or the ``NamedTuple``
+record its layer returns, as it is. ``build_parser`` builds the argument
+parser from that registry. One renderer prints every payload, and it
+reads a record, at any depth, as the dict of its fields that are not None:
 
 - ``--json``: ``emit_json(payload)``, sorted keys, byte-identical across
   runs; exact rationals are emitted as ``{"den": ..., "num": ...}``.
 - table (default): one ``key=value`` line per payload key, through one
   value formatter. Bools print as ``true``/``false``, an integral
-  ``Fraction`` as an integer, a dict as ``(k=v, ...)`` and a tuple or list
-  as ``(a, b)``; a list of dicts prints one ``k=v k=v`` line per row.
+  ``Fraction`` as an integer, a dict or record as ``(k=v, ...)``, a plain
+  tuple or list as ``(a, b)`` and any other object through ``str``; a
+  list of dicts or records prints one ``k=v k=v`` line per row.
 
-A subcommand whose table has another shape returns ``(payload, lines)``.
-Only the renderer lifts Python's 4,300-digit limit on int-to-str
-conversion, so lines that can hold a big result are left for it to
-format: they are lazy iterables such as ``_table``'s, and an object such
-as an ``OrientedBrieskorn`` prints through ``str`` when it is rendered.
+A subcommand whose table has another shape returns the pair ``(payload,
+lines)``, a plain tuple. Inputs stay under Python's 4,300-digit limit on
+int-to-str conversion, but an exact result, a polynomial in them, may
+not; ``main`` lifts the limit for the whole run and restores it at the
+end, so a command formats its lines as it likes.
 
 A command is one short process, so it pays only for what it uses: it
 imports the layers it calls inside its function (``emit_json`` imports
@@ -38,7 +41,6 @@ A reader that closes stdout early (``| head``) ends the run with exit 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
@@ -88,11 +90,22 @@ def _is_fraction(value) -> bool:
     return not isinstance(value, int) and hasattr(value, "denominator")
 
 
+def _items(value):
+    """The (key, value) pairs of a dict, or the fields of a ``NamedTuple``
+    record that are not None; None for anything else."""
+    if isinstance(value, dict):
+        return value.items()
+    if hasattr(value, "_fields"):
+        return [(k, v) for k, v in zip(value._fields, value) if v is not None]
+    return None
+
+
 def _canonical(value):
     if _is_fraction(value):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
+    items = _items(value)
+    if items is not None:
+        return {k: _canonical(v) for k, v in items}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     return value
@@ -108,45 +121,30 @@ def _format(value) -> str:
         return str(value).lower()
     if _is_fraction(value) and value.denominator == 1:
         return str(value.numerator)
-    if isinstance(value, dict):
-        return "(" + ", ".join(f"{k}={_format(v)}" for k, v in value.items()) + ")"
+    items = _items(value)
+    if items is not None:
+        return "(" + ", ".join(f"{k}={_format(v)}" for k, v in items) + ")"
     if isinstance(value, (list, tuple)):
         return "(" + ", ".join(map(_format, value)) + ")"
     return str(value)
 
 
-def _row(values: dict) -> str:
-    return " ".join(f"{k}={_format(v)}" for k, v in values.items())
+def _row(values) -> str:
+    return " ".join(f"{k}={_format(v)}" for k, v in _items(values))
 
 
-def _table(payload: dict):
-    """The table lines of a payload, formatted lazily (see the module doc)."""
-    for key, value in payload.items():
-        if isinstance(value, list) and all(isinstance(v, dict) for v in value):
+def _table(payload):
+    """The table lines of a payload, a dict or a record."""
+    for key, value in _items(payload):
+        if isinstance(value, list) and all(_items(v) is not None for v in value):
             yield from map(_row, value)
         else:
             yield f"{key}={_format(value)}"
 
 
-def _asdict(value):
-    """A ``NamedTuple`` record as a dict, and so on down into its fields
-    and into tuples and lists; anything else as it is."""
-    if hasattr(value, "_fields"):
-        return {k: _asdict(v) for k, v in zip(value._fields, value)}
-    if isinstance(value, (list, tuple)):
-        return type(value)(map(_asdict, value))
-    return value
-
-
-def _fields(record) -> dict:
-    """A record result as a payload; fields that are None are left out."""
-    return {k: v for k, v in _asdict(record).items() if v is not None}
-
-
-def _schedule_table(payload: dict):
+def _schedule_table(payload):
     """The table shows a stabilization schedule as the pair (up, down)."""
-    s = payload.get("schedule")
-    return _table(payload if s is None else {**payload, "schedule": (s["up"], s["down"])})
+    return _table({k: tuple(v) if k == "schedule" else v for k, v in _items(payload)})
 
 
 def _events(diagram) -> list[list]:
@@ -159,7 +157,7 @@ def _front_payload(diagram) -> dict:
     k = len(comps)
     _check_rows(k + k * (k - 1) // 2, f"a front of {k} components")
     per_comp = [
-        {"index": c.index, **_asdict(fronts.invariants(diagram, c.index))} for c in comps
+        {"index": c.index, **fronts.invariants(diagram, c.index)._asdict()} for c in comps
     ]
     table = fronts.linking_matrix(diagram)
     linking = [
@@ -247,7 +245,7 @@ def _brieskorn_invariants(args):
 @command("brieskorn seifert", "p1", "p2", "p3")
 def _brieskorn_seifert(args):
     from . import brieskorn
-    return _fields(brieskorn.seifert_data(_triple(args)))
+    return brieskorn.seifert_data(_triple(args))
 
 
 @command("brieskorn surgery", "p", "q", "n", ("sign", {}))
@@ -259,7 +257,7 @@ def _brieskorn_surgery(args):
     result = brieskorn.surgery_to_brieskorn(
         brieskorn.SurgeryDescription(p=args.p, q=args.q, n=args.n, sign=sign)
     )
-    return {"sign": result.sign, **_asdict(result.triple)}, [result]
+    return {"sign": result.sign, **result.triple._asdict()}, [str(result)]
 
 
 @command("brieskorn sigma-sweep", "--pmax", "--nmax")
@@ -284,75 +282,60 @@ def _casson_harer(args):
     # at most two triples per (p, n)
     _check_rows(2 * pmax * nmax, f"--pmax {args.pmax} --nmax {args.nmax}")
     triples = brieskorn.casson_harer_families(args.pmax, args.nmax)
-    return (
-        {"triples": _asdict(triples)},
-        [f"Sigma({t.p1},{t.p2},{t.p3})" for t in triples],
-    )
+    return {"triples": triples}, [f"Sigma({t.p1},{t.p2},{t.p3})" for t in triples]
 
 
 @command("handlebody analyze", ("file", {}))
 def _handlebody_analyze(args):
     from . import handlebody
-    return _fields(handlebody.analyze(handlebody.parse_kirby(_read(args.file))))
+    return handlebody.analyze(handlebody.parse_kirby(_read(args.file)))
 
 
 @command("nucleus", "p", "q", "n")
 def _nucleus(args):
     from . import handlebody
     data = handlebody.nucleus(args.p, args.q, args.n)
-    analysis = _fields(data.analysis)
-    head = _fields(data)
-    kirby = head.pop("kirby")
-    del head["analysis"]
     # ``l`` and ``fiber_genus`` are one number; the payload keeps both keys
-    head = {"l": data.fiber_genus, **head}
-    handles = kirby["two_handles"]
-    payload = {**head, "handles": handles, "linking": kirby["linking"], "analysis": analysis}
-    return payload, itertools.chain(
-        _table(head), (f"handle {_row(h)}" for h in handles), _table(analysis)
-    )
+    head = {"l": data.fiber_genus, **data._asdict()}
+    kirby, analysis = head.pop("kirby"), head.pop("analysis")
+    handles = kirby.two_handles
+    payload = {**head, "handles": handles, "linking": kirby.linking, "analysis": analysis}
+    return payload, [*_table(head), *(f"handle {_row(h)}" for h in handles), *_table(analysis)]
 
 
 @command("check hirz", "--tb", "--r", "--n", "--m")
 def _check_hirz(args):
     from . import criteria, legendrian
     inv0 = legendrian.LegendrianInvariants(tb=args.tb, r=args.r)
-    payload = _fields(criteria.hirz_check(inv0, args.n, args.m))
-    return payload, _schedule_table(payload)
+    verdict = criteria.hirz_check(inv0, args.n, args.m)
+    return verdict, _schedule_table(verdict)
 
 
 @command("check embed", "p", "q", "eps")
 def _check_embed(args):
     from . import criteria
     plan = criteria.brieskorn_embed_plan(args.p, args.q, args.eps)
-    payload = {
-        "source": _asdict(plan.source),
-        "schedule": _asdict(plan.schedule),
-        "target": _asdict(plan.target),
-        "framing": plan.framing,
-        "boundary": plan.boundary,
-        "split_forms": criteria.SPLIT_FORMS,
-    }
+    payload = {**plan._asdict(), "split_forms": criteria.SPLIT_FORMS}
     return payload, _schedule_table({**payload, "split_forms": " ".join(criteria.SPLIT_FORMS)})
 
 
 @command("check prop-theta", "p", "q", "eps")
 def _check_prop_theta(args):
     from . import criteria
-    return _fields(criteria.prop_theta_check(args.p, args.q, args.eps))
+    return criteria.prop_theta_check(args.p, args.q, args.eps)
 
 
 @command("check cave", "--tb", "--r", "--k")
 def _check_cave(args):
     from . import criteria, legendrian
     inv = legendrian.LegendrianInvariants(tb=args.tb, r=args.r)
-    return _fields(criteria.cave_check(inv, args.k))
+    return criteria.cave_check(inv, args.k)
 
 
 @command("check flip", "--r0", "--up", "--down", "--target")
 def _check_flip(args):
     from . import criteria
-    return _fields(criteria.flip_reach(args.r0, args.up, args.down, args.target))
+    return criteria.flip_reach(args.r0, args.up, args.down, args.target)
 
 
 @command("check slice", "--tb", "--r", "--g")
@@ -376,7 +359,7 @@ def _check_theta_survey(args):
             except ExcludedCase:
                 excluded.append([p, q, eps])
                 continue
-            rows.append({"p": p, "q": q, "eps": eps, **_fields(report)})
+            rows.append({"p": p, "q": q, "eps": eps, **report._asdict()})
     return {"rows": rows, "excluded": excluded}
 
 
@@ -496,39 +479,40 @@ def build_parser():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_argv(argv)
-    if args is None:  # help, a usage error or an argv the reader leaves to argparse
-        args = build_parser().parse_args(argv)
-    try:
-        result = args.func(args)
-    except DomainError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except UsageExit as exc:
-        print(f"UsageError: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolation as exc:
-        print(f"InvariantViolation: {exc}", file=sys.stderr)
-        return 3
-    payload, lines = result if isinstance(result, tuple) else (result, None)
-    # Inputs stay under Python's 4,300-digit limit, but an exact result, a
-    # polynomial in them, may not; the limit is lifted only to print it.
+    # lifted for the whole run; ``errors.integer`` caps every input itself
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.json:
-            print(emit_json(payload))
-        else:
-            for line in _table(payload) if lines is None else lines:
-                print(line)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away (``| head``): that ends the run, and once
-        # stdout is /dev/null the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        args = _read_argv(argv)
+        if args is None:  # help, a usage error or an argv the reader leaves to argparse
+            args = build_parser().parse_args(argv)
+        try:
+            result = args.func(args)
+        except DomainError as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        except UsageExit as exc:
+            print(f"UsageError: {exc}", file=sys.stderr)
+            return 2
+        except InvariantViolation as exc:
+            print(f"InvariantViolation: {exc}", file=sys.stderr)
+            return 3
+        # a record is a tuple too, but not a plain one
+        payload, lines = result if type(result) is tuple else (result, None)
+        try:
+            if args.json:
+                print(emit_json(payload))
+            else:
+                for line in _table(payload) if lines is None else lines:
+                    print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader went away (``| head``): that ends the run, and once
+            # stdout is /dev/null the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     finally:
         sys.set_int_max_str_digits(limit)
-    return 0
 
 
 if __name__ == "__main__":

@@ -40,9 +40,9 @@ class HirzVerdict(NamedTuple):
 
 class EmbedPlan(NamedTuple):
     source: LegendrianInvariants
+    schedule: StabilizationSchedule
     target: LegendrianInvariants
     framing: int
-    schedule: StabilizationSchedule
     boundary: brieskorn.OrientedBrieskorn
 
 
@@ -100,27 +100,21 @@ def brieskorn_embed_plan(p: int, q: int, eps: int) -> EmbedPlan:
     if eps == 1:
         schedule = StabilizationSchedule(up=l - 1, down=l)
         target = LegendrianInvariants(tb=0, r=1)
-        framing = -1
         boundary_sign = 1
     else:
         schedule = StabilizationSchedule(up=l - 3, down=l)
         target = LegendrianInvariants(tb=2, r=3)
-        framing = 1
         boundary_sign = -1
     if stabilize_invariants(source, schedule) != target:
         raise InvariantViolation(
             f"(up, down) = {brief(schedule)} does not take (tb, r) = "
             f"{brief(source)} to {brief(target)}"
         )
-    if framing != target.tb - 1:
-        raise InvariantViolation(
-            f"framing {framing} is not tb - 1 of (tb, r) = {brief(target)}"
-        )
     return EmbedPlan(
         source=source,
-        target=target,
-        framing=framing,
         schedule=schedule,
+        target=target,
+        framing=target.tb - 1,
         boundary=brieskorn.OrientedBrieskorn(
             triple=brieskorn.BrieskornTriple(p, q, p * q + eps), sign=boundary_sign
         ),

@@ -8,6 +8,10 @@ on argv or in a file (the CLI loads this module, so no command imports
 another layer for it).
 """
 
+import sys
+
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+
 
 def brief(value) -> str:
     """``value`` for an error message, so that no limit on int-to-str
@@ -25,16 +29,17 @@ def brief(value) -> str:
 
 
 def integer(token: str) -> int:
-    """The integer ``token`` spells as ASCII ``-?[0-9]+``, or ValueError,
-    also when it is too long for ``int()``. Its name is the type that
-    ``argparse`` names in a usage error: ``invalid integer value: 'x'``."""
+    """The integer ``token`` spells as ASCII ``-?[0-9]+`` of at most 4,300
+    digits, or ValueError. The digits are counted against Python's default
+    limit on str-to-int conversion, so the cap holds whatever limit is in
+    force (``cli.main`` lifts it). Its name is the type that ``argparse``
+    names in a usage error: ``invalid integer value: 'x'``."""
     digits = token[1:] if token[:1] == "-" else token
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad integer {token!r}")
-    try:
-        return int(token)
-    except ValueError:  # more digits than int() converts
-        raise ValueError("integer too long") from None
+    if len(digits) > _MAX_DIGITS:
+        raise ValueError("integer too long")
+    return int(token)
 
 
 class DomainError(Exception):

@@ -33,6 +33,16 @@ class TestEmitJson:
             "x": {"num": 3, "den": 2}
         }
 
+    def test_records_print_as_their_fields(self):
+        """A record prints as its fields that are not None, at any depth: an
+        object in JSON, ``(k=v, ...)`` or a row in the table."""
+        from steinkit.criteria import CaveVerdict
+        from steinkit.legendrian import LegendrianInvariants
+
+        payload = {"x": CaveVerdict(False, None), "y": [LegendrianInvariants(1, 0)]}
+        assert emit_json(payload) == '{"x": {"feasible": false}, "y": [{"r": 0, "tb": 1}]}'
+        assert list(cli._table(payload)) == ["x=(feasible=false)", "tb=1 r=0"]
+
     def test_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "brieskorn", "invariants", "2", "3", "5", "--json")
         _, out2, _ = run(capsys, "brieskorn", "invariants", "2", "3", "5", "--json")
@@ -385,6 +395,51 @@ class TestTypedFailures:
         assert time.perf_counter() - start < 5
         self.assert_typed(proc, "WorkBudgetExceeded")
         assert proc.stderr == f"WorkBudgetExceeded: {path} is over {cli.READ_BUDGET} bytes\n"
+
+
+@pytest.mark.parametrize("limit", [None, "0", "640"], ids=["unset", "0", "640"])
+def test_integer_cap_holds_under_any_int_str_limit(tmp_path, limit):
+    """Every integer, on argv or in a file, has at most 4,300 digits, counted
+    by ``errors.integer``: whatever ``PYTHONINTMAXSTRDIGITS`` says, 700
+    digits are taken and 4,301 refused."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+
+    def steinkit(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "steinkit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def slice_check(tb):
+        return steinkit("check", "slice", "--tb", tb, "--r", "0", "--g", "1")
+
+    def front_stats(position):
+        path = tmp_path / "unknot.front"
+        path.write_text(f"L 0\nR {position}\n")
+        return steinkit("front", "stats", str(path))
+
+    assert slice_check("0" * 699 + "1") == (0, "satisfied=true\n", "")
+    code, out, err = slice_check("0" * 4300 + "1")
+    assert (code, out) == (2, "") and err.startswith("usage: ")
+    assert front_stats("0" * 700) == (0, "components=1\ncomponent 0: tb=-1 r=0\n", "")
+    code, out, err = front_stats("0" * 4301)
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedToken: ") and err.endswith("integer too long\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_main_restores_the_int_str_limit(capsys):
+    """``main`` lifts Python's limit on int-to-str conversion for its run
+    only, also when argparse ends the run."""
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "check", "slice", "--tb", "1", "--r", "0", "--g", "1")[0] == 0
+    with pytest.raises(SystemExit):
+        cli.main(["check", "slice", "--tb", "1"])
+    assert sys.get_int_max_str_digits() == limit
 
 
 def padded_unknot(size: int) -> bytes:
