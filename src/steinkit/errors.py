@@ -10,8 +10,6 @@ another layer for it).
 
 import sys
 
-_MAX_DIGITS = sys.int_info.default_max_str_digits
-
 
 def brief(value) -> str:
     """``value`` for an error message, so that no limit on int-to-str
@@ -30,15 +28,18 @@ def brief(value) -> str:
 
 def integer(token: str) -> int:
     """The integer ``token`` spells as ASCII ``-?[0-9]+`` of at most 4,300
-    digits, or ValueError. The digits are counted against Python's default
-    limit on str-to-int conversion, so the cap holds whatever limit is in
-    force (``cli.main`` lifts it). Its name is the type that ``argparse``
-    names in a usage error: ``invalid integer value: 'x'``."""
+    digits, or ValueError, whatever limit on str-to-int conversion is in
+    force: the digits are counted against Python's default, and a token the
+    limit may bind converts through ``Decimal``. Its name is the type that
+    ``argparse`` names in a usage error: ``invalid integer value: 'x'``."""
     digits = token[1:] if token[:1] == "-" else token
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad integer {token!r}")
-    if len(digits) > _MAX_DIGITS:
+    if len(digits) > sys.int_info.default_max_str_digits:
         raise ValueError("integer too long")
+    if len(digits) > sys.int_info.str_digits_check_threshold:
+        from decimal import Decimal
+        token = Decimal(token)
     return int(token)
 
 

@@ -33,12 +33,13 @@ at the end. Every arc meets one arc at its left cusp and one at its right
 cusp, and runs opposite to both, so each component is one even cycle of
 arcs; a walk around each cycle gives the components (numbered by their
 creating left cusp) and every arc's direction. One pass over the crossing
-arc pairs then gives every signed crossing count, and with the cusps every
-tb, every r and the whole linking matrix; ``components``, ``invariants``,
-``linking_number`` and ``linking_matrix`` only look them up. The pairs
-stay as ``_crossings`` for ``tests/trace_oracle.py``, which checks each
-crossing's sign. No segment is kept: ``stabilize_diagram`` replays the
-strand heights to find its insertion point.
+arc pairs and the cusps fills one k x k table whose diagonal holds every tb,
+and gives every r; the table then becomes the linking matrix in place.
+``components``, ``invariants``, ``linking_number`` and ``linking_matrix``
+only look them up. The pairs stay as ``_crossings`` for
+``tests/trace_oracle.py``, which checks each crossing's sign. No segment is
+kept: ``stabilize_diagram`` replays the strand heights to find its insertion
+point.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ DOWN = "down"
 # on one core of an x86-64 host).
 EVENT_BUDGET = 10**5
 
-# Most components a traced front may have. The trace fills two k x k tables
-# (signed crossing counts and linking numbers), so a front of more is refused
-# once its sweep has counted them, before any table is built. A front of
-# 1,000 unknots traces in about 0.1 s (Python 3.11 on one core of an x86-64
+# Most components a traced front may have. The trace fills one k x k table
+# (signed crossing counts, then linking numbers), so a front of more is
+# refused once its sweep has counted them, before the table is built. A front
+# of 1,000 unknots traces in about 0.1 s (Python 3.11 on one core of an x86-64
 # host).
 COMPONENT_BUDGET = 1000
 
@@ -166,17 +167,17 @@ class FrontDiagram(StrictRecord):
             if not 0 <= c < k:
                 raise ComponentOutOfRange(f"flip {c} with {k} components")
 
-        # One pass over crossings and cusps gives every tb, r and lk.
-        signed = [[0] * k for _ in range(k)]  # by (upper, lower) component
+        # One table: signed crossing counts by (upper, lower) component; less
+        # its component's left cusps, each diagonal entry is a tb.
+        table = [[0] * k for _ in range(k)]
         for a, b in crossings:
-            signed[comp[a]][comp[b]] += sign[a] * sign[b]
+            table[comp[a]][comp[b]] += sign[a] * sign[b]
         # A left cusp is traversed downward iff its upper arc points
         # leftward; a right cusp iff its upper arc points rightward.
         twice_r = [0] * k
-        left_cusps = [0] * k
         for _g, u in lefts:
             twice_r[comp[u]] -= sign[u]
-            left_cusps[comp[u]] += 1
+            table[comp[u]][comp[u]] -= 1
         for u in rights:
             twice_r[comp[u]] += sign[u]
         invariants: list[LegendrianInvariants] = []
@@ -185,22 +186,22 @@ class FrontDiagram(StrictRecord):
                 raise InvariantViolation(
                     f"component {c}: odd signed cusp count {twice_r[c]}"
                 )
-            invariants.append(LegendrianInvariants(
-                tb=signed[c][c] - left_cusps[c], r=twice_r[c] // 2
-            ))
-        linking = [[0] * k for _ in range(k)]
+            invariants.append(LegendrianInvariants(tb=table[c][c], r=twice_r[c] // 2))
+        # The table becomes the linking matrix in place; row i reads each (j, i) first.
         for i in range(k):
+            row = table[i]
+            row[i] = 0
             for j in range(i + 1, k):
-                lk2 = signed[i][j] + signed[j][i]
+                lk2 = row[j] + table[j][i]
                 if lk2 % 2 != 0:
                     raise InvariantViolation(
                         f"odd inter-component crossing count {lk2}"
                     )
-                linking[i][j] = linking[j][i] = lk2 // 2
+                row[j] = table[j][i] = lk2 // 2
 
         self._created_at = created_at
         self._invariants = invariants
-        self._linking = linking
+        self._linking = table
         self._crossings = crossings
         self._comp = comp
         self._sign = sign
@@ -252,6 +253,13 @@ def linking_matrix(diagram: FrontDiagram) -> list[list[int]]:
     return [row[:] for row in diagram._linking]
 
 
+def _zigzag(slot: int, below: bool) -> tuple[FrontEvent, FrontEvent]:
+    """A zig-zag's two events on the strand at ``slot``, below or above it."""
+    if below:
+        return FrontEvent(LEFT_CUSP, slot + 1), FrontEvent(RIGHT_CUSP, slot)
+    return FrontEvent(LEFT_CUSP, slot), FrontEvent(RIGHT_CUSP, slot + 1)
+
+
 def stabilize_diagram(
     diagram: FrontDiagram, c: int, direction: str, at: int
 ) -> FrontDiagram:
@@ -289,18 +297,8 @@ def stabilize_diagram(
     else:
         raise InvalidInsertionPoint(f"insertion point {at} with {seen} segments")
     rightward = diagram._sign[arc] > 0
-    # On a rightward strand a down zig-zag dips below (left cusp under the
-    # strand, right cusp merging into it); on a leftward strand the roles swap.
-    if (direction == DOWN) == rightward:
-        inserted = (
-            FrontEvent(LEFT_CUSP, slot + 1),
-            FrontEvent(RIGHT_CUSP, slot),
-        )
-    else:
-        inserted = (
-            FrontEvent(LEFT_CUSP, slot),
-            FrontEvent(RIGHT_CUSP, slot + 1),
-        )
+    # A down zig-zag dips below a rightward strand, an up one below a leftward one.
+    inserted = _zigzag(slot, (direction == DOWN) == rightward)
     events = diagram.events[:gap] + inserted + diagram.events[gap:]
     return FrontDiagram(events, diagram.orientation_flips)
 
@@ -314,10 +312,10 @@ def torus_knot_front(
     cusps: exactly (p-1)q crossings, all positive, with tb = (p-1)q - p
     and r = 0.
 
-    A ``schedule`` splices its zig-zags in after the first left cusp, giving
-    the word that ``stabilize_diagram(d, 0, UP, 0)`` applied ``up`` times and
-    then ``stabilize_diagram(d, 0, DOWN, 0)`` applied ``down`` times give:
-    segment 0 is always the rightward upper arc of that cusp.
+    A ``schedule`` splices its zig-zags in after the first left cusp, whose
+    rightward upper arc is segment 0: each is the ``_zigzag`` that
+    ``stabilize_diagram(d, 0, DOWN or UP, 0)`` inserts there, so the word is
+    that of ``up`` UP stabilizations followed by ``down`` DOWN ones.
 
     Raises ``WorkBudgetExceeded`` when the word would have more than
     ``EVENT_BUDGET`` events.
@@ -333,9 +331,7 @@ def torus_knot_front(
         events.extend(FrontEvent(CROSSING, i) for i in range(p - 1))
     events.extend(FrontEvent(RIGHT_CUSP, i) for i in range(p - 1, -1, -1))
     if schedule is not None:
-        down = (FrontEvent(LEFT_CUSP, 1), FrontEvent(RIGHT_CUSP, 0))
-        up = (FrontEvent(LEFT_CUSP, 0), FrontEvent(RIGHT_CUSP, 1))
-        events[1:1] = down * schedule.down + up * schedule.up
+        events[1:1] = _zigzag(0, True) * schedule.down + _zigzag(0, False) * schedule.up
     return FrontDiagram(tuple(events))
 
 

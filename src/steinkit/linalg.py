@@ -33,7 +33,7 @@ def form(matrix, vector) -> tuple[int, int, Fraction | None]:
     """``(det Q, signature Q, v^T Q^-1 v)`` of a symmetric integer matrix
     Q and an integer vector v; the last is None when det Q = 0."""
     n = len(matrix)
-    if len(vector) != n or any(
+    if len(vector) != n or any(len(row) != n for row in matrix) or any(
         matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)
     ):
         raise InvariantViolation(

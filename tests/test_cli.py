@@ -326,7 +326,7 @@ class TestTypedFailures:
     )
     def test_front_component_budget(self, tmp_path, command, options, text, k):
         """20,000 disjoint or 40,000 nested unknots: refused once the trace
-        has counted the components, before its k x k tables."""
+        has counted the components, before its k x k table."""
         from steinkit import fronts
 
         path = tmp_path / "unknots.front"

@@ -12,8 +12,10 @@ counts are bounded before any work. Each run must exit 0, 1 or 2, print
 at most one stderr line on exits 0 and 1, and never raise out of ``main``
 or print a traceback; the commands with a budget or O(1) work must also
 end within 5 s. Fronts of large structure (many components, deep nesting,
-wide components) go to ``front stats`` and ``front stabilize`` under the
-same 5-s bound.
+wide components) go to ``front stats`` and ``front stabilize``, and Kirby
+files of large structure (every lk pair of 150 or 151 handles, entries at
+the edge of the bit budget, comment lines of up to 1 MiB) to ``handlebody
+analyze``, under the same 5-s bound.
 """
 
 import contextlib
@@ -31,7 +33,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steinkit import brieskorn, cli, criteria, fronts, linalg
@@ -441,6 +443,57 @@ def test_sweeps_end_within_5s(argv):
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("WorkBudgetExceeded: ")
+
+
+def dense_kirby(k, bits, rng):
+    """A Kirby file of k 2-handles with every lk pair, whose largest entry
+    has ``bits`` bits: Stein (framing = tb - 1) with r of the framing's
+    parity, so it passes every check but the budgets."""
+    def entry():
+        return rng.randint(-(2**bits - 1), 2**bits - 1)
+
+    def rotation(f):  # an entry of f's parity
+        r = entry()
+        return r if (r - f) % 2 == 0 else r - 1 if r > 0 else r + 1
+
+    framings = [2**bits - 1] + [entry() for _ in range(k - 1)]
+    lines = ["1-handles 0"]
+    lines += [f"handle tb={f + 1} r={rotation(f)} framing={f}" for f in framings]
+    lines += [f"lk {i} {j} {entry()}" for i in range(k) for j in range(i + 1, k)]
+    return lines
+
+
+# (handles k, entry bit length): 150 and 151 handles, the handle budget's
+# edge; and k times the bit length at the bit budget's edge, 1,000 or 1,001
+KIRBY_SHAPE = st.one_of(
+    st.tuples(st.sampled_from([150, 151]), st.integers(0, 6)),
+    st.sampled_from([(k, n // k) for n in (1000, 1001) for k in range(1, 152) if n % k == 0]),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(shape=KIRBY_SHAPE, seed=st.integers(0, 2**32), comment=up_to(0, 2**20 - 1),
+       at=st.integers(0, 2**16))
+@example(shape=(150, 6), seed=0, comment=2**20 - 1, at=1)
+@example(shape=(151, 6), seed=0, comment=2**20 - 1, at=2**16)
+@example(shape=(125, 8), seed=0, comment=2**20 - 1, at=0)
+@example(shape=(143, 7), seed=0, comment=2**20 - 1, at=0)
+def test_kirby_large_structure_typed_exit(shape, seed, comment, at):
+    """``handlebody analyze`` of a Kirby file with every lk pair, at the edge
+    of the handle and bit budgets, with a comment line of up to 1 MiB at
+    line ``at`` (mod the line count): each run ends in exit 0 or 1, on at
+    most one stderr line, within 5 s."""
+    lines = dense_kirby(*shape, random.Random(seed))
+    lines.insert(at % (len(lines) + 1), "#" + "c" * comment)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "large.kirby")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        proc = run_process("handlebody", "analyze", path)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode in (0, 1), proc.stderr
+        assert len(proc.stderr.splitlines()) <= 1 and "Traceback" not in proc.stderr
 
 
 def test_kirby_handle_budget_within_5s(tmp_path):

@@ -1,6 +1,11 @@
 """Front diagram unit and property tests."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +109,27 @@ class TestParsing:
         d = fronts.parse_front(HOPF + "flip 1\n")
         assert fronts.parse_front(fronts.serialize_front(d)) == d
 
+    def test_long_integer_under_a_lower_int_str_limit(self):
+        """A caller whose process limits str-to-int conversion to 640 digits
+        still has a 700-digit position read, and 4,301 digits refused."""
+        script = (
+            "from steinkit import fronts\n"
+            "from steinkit.errors import MalformedToken\n"
+            "d = fronts.parse_front('L 0\\nR ' + '0' * 700 + '\\n')\n"
+            "print(fronts.invariants(d, 0))\n"
+            "try:\n"
+            "    fronts.parse_front('L 0\\nR ' + '0' * 4301 + '\\n')\n"
+            "except MalformedToken as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(fronts.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "LegendrianInvariants(tb=-1, r=0)\nline 2: integer too long\n"
+
 
 class TestComponents:
     def test_unknot_single_component(self):
@@ -122,11 +148,23 @@ class TestComponents:
 
     def test_component_budget(self):
         """Up to ``COMPONENT_BUDGET`` components trace; one more is refused
-        before the k x k tables are built."""
+        before the k x k table is built."""
         k = fronts.COMPONENT_BUDGET
         assert len(fronts.components(fronts.parse_front("L 0\nR 0\n" * k))) == k
         with pytest.raises(WorkBudgetExceeded, match=f"has {k + 1} components, more than {k}$"):
             fronts.parse_front("L 0\n" * (k + 1) + "R 0\n" * (k + 1))
+
+    def test_trace_holds_one_table(self):
+        """At the component budget the trace holds one k x k table of 8 MB
+        (k lists of k pointers); a second table would take the peak to 16 MB."""
+        text = "L 0\nR 0\n" * fronts.COMPONENT_BUDGET
+        tracemalloc.start()
+        try:
+            fronts.parse_front(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 10**6
 
     def test_event_budget(self):
         """Up to ``EVENT_BUDGET`` events trace; one more is refused before the

@@ -89,6 +89,15 @@ class TestLinalg:
         with pytest.raises(InvariantViolation):
             linalg.form([[0, 1], [2, 0]], [0, 0])
 
+    @pytest.mark.parametrize("matrix", [[[1, 0, 5], [0, 1, 7]], [[1, 0], [0]]],
+                             ids=["long-rows", "short-row"])
+    def test_non_square_matrix(self, matrix):
+        """A row of another length is refused like an asymmetric matrix: a
+        long row's extra entry is not read as the border, and a short row
+        raises no ``IndexError``."""
+        with pytest.raises(InvariantViolation, match="^form needs a symmetric matrix"):
+            linalg.form(matrix, [0, 0])
+
     def test_inexact_division_raises(self):
         # Only a non-integer entry can break Bareiss exactness.
         with pytest.raises(InvariantViolation):
