@@ -228,14 +228,18 @@ class TestExitCodes:
         assert "UsageError" in err
 
 
-def run_process(*argv):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def run_python(*args, prefix=()):
+    """Run a fresh interpreter that imports steinkit from this tree."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-m", "steinkit.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [*prefix, sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return run_python("-m", "steinkit.cli", *argv)
 
 
 class TestTypedFailures:
@@ -474,6 +478,63 @@ def test_closed_stdout_exits_0():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == ""
+
+
+SUCCESS = ("brieskorn", "invariants", "2", "3", "5")
+TABLE = "b2=8\nchi=9\nsigma=-8\ntheta=6\n"
+DOMAIN_ERROR = ("check", "embed", "2", "5", "-1")
+EXCLUDED = "ExcludedCase: Sigma(2,5,9) is excluded\n"
+
+# registers an atexit handler that touches the file named by the first argument
+ATEXIT = (
+    "import atexit, pathlib, runpy, sys\n"
+    "atexit.register(pathlib.Path(sys.argv.pop(1)).touch)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(SUCCESS, (0, TABLE, "")), (DOMAIN_ERROR, (1, "", EXCLUDED))],
+    ids=["success", "domain-error"],
+)
+def test_process_ends_without_teardown(tmp_path, argv, expected):
+    """A CLI process ends once its output is flushed: an ``atexit`` handler
+    registered before the entry runs does not run, and the exit code,
+    stdout and stderr are those of ``main``, which returns."""
+    ran = tmp_path / "atexit-ran"
+    # runs ``steinkit.cli`` as ``-m`` does
+    entry = ATEXIT + "runpy.run_module('steinkit.cli', run_name='__main__', alter_sys=True)"
+    proc = run_python("-c", entry, str(ran), *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert not ran.exists()
+    # the same handler does run after ``main``, which never ends the process
+    main = ATEXIT + "from steinkit import cli\nsys.exit(cli.main())"
+    assert run_python("-c", main, str(ran), *argv).returncode == expected[0]
+    assert ran.exists()
+
+
+@pytest.mark.parametrize(
+    "redirect, argv, expected",
+    [
+        (">&-", SUCCESS, (0, "", "")),
+        (">&-", DOMAIN_ERROR, (1, "", EXCLUDED)),
+        ("> /dev/full", SUCCESS, (1, "", "OSError: [Errno 28] No space left on device\n")),
+        ("> /dev/full", DOMAIN_ERROR, (1, "", EXCLUDED)),
+        ("2>&-", SUCCESS, (0, TABLE, "")),
+        ("2>&-", DOMAIN_ERROR, (1, "", "")),
+    ],
+    ids=["closed-stdout", "closed-stdout-error", "full", "full-error", "closed-stderr",
+         "closed-stderr-error"],
+)
+def test_output_streams_that_fail(redirect, argv, expected):
+    """A stdout closed from the start reads as a reader that went away: exit
+    0, nothing on stderr. A write that fails exits 1 with one typed line.
+    With stderr closed, an error leaves stdout empty and exits 1. None of
+    them prints a traceback."""
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    proc = run_python("-m", "steinkit.cli", *argv, prefix=("sh", "-c", f'"$@" {redirect}', "sh"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def loaded_by(code):

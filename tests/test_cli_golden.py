@@ -4,7 +4,9 @@ Every subcommand is pinned in table and ``--json`` form, with one domain
 error and six usage errors, four of them integers that ``int()`` takes and
 ``errors.integer`` does not. The expected data is in ``cli_golden.json``;
 ``python tests/test_cli_golden.py`` rewrites it from the current code, so
-run that only for an intended output change and say so in CHANGES.
+run that only for an intended output change and say so in CHANGES. Every
+case runs through ``cli.main`` in process, and once more through ``python -m
+steinkit.cli``, which must print the same bytes.
 
 ``cli.main`` reads a well-formed argv with ``cli._read_argv``, without
 ``argparse``; the parser of every command, ``cli.build_parser()``, is its
@@ -18,7 +20,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,11 +101,16 @@ CASES = [
 ]
 
 
-def run_main(argv, files, workdir: Path) -> tuple:
-    """``cli.main``'s exit code, stdout and stderr."""
+def write_files(argv, files, workdir: Path) -> list:
+    """Write ``files`` to ``workdir`` and return ``argv`` with their paths."""
     for name, text in files.items():
         (workdir / name).write_text(text, encoding="utf-8")
-    argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+    return [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+def run_main(argv, files, workdir: Path) -> tuple:
+    """``cli.main``'s exit code, stdout and stderr."""
+    argv = write_files(argv, files, workdir)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -111,8 +120,18 @@ def run_main(argv, files, workdir: Path) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_case(argv, files, workdir: Path) -> dict:
-    code, out, err = run_main(argv, files, workdir)
+def run_process(argv, files, workdir: Path) -> tuple:
+    """The exit code, stdout and stderr of ``python -m steinkit.cli``."""
+    argv = write_files(argv, files, workdir)
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinkit.cli", *argv], capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+def run_case(argv, files, workdir: Path, runner=run_main) -> dict:
+    code, out, err = runner(argv, files, workdir)
     lines = err.splitlines()
     return {"exit": code, "stdout": out, "stderr": lines[0] if lines else ""}
 
@@ -127,6 +146,14 @@ def test_golden(index, tmp_path):
     golden = expected()[index]
     assert golden["argv"] == argv
     assert run_case(argv, files, tmp_path) == {k: golden[k] for k in ("exit", "stdout", "stderr")}
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: " ".join(CASES[i][0]))
+def test_golden_in_a_process(index, tmp_path):
+    """A CLI process prints the same bytes as ``cli.main`` in process."""
+    argv, files = CASES[index]
+    got = run_case(argv, files, tmp_path, runner=run_process)
+    assert got == {k: expected()[index][k] for k in ("exit", "stdout", "stderr")}
 
 
 def _command_names(parser: argparse.ArgumentParser, prefix=()):
