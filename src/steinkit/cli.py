@@ -1,10 +1,14 @@
 """Command-line surface.
 
-Each subcommand is one function, registered with ``@command`` next to its
-argument list, that returns its payload: a dict, or the ``NamedTuple``
-record its layer returns, as it is. ``build_parser`` builds the argument
-parser from that registry. One renderer prints every payload, and it
-reads a record, at any depth, as the dict of its fields that are not None:
+``COMMANDS`` holds every command's name and argument list as data, and
+the module that runs it: ``front`` and ``torus-knot`` run in
+``cli_front``, ``brieskorn`` in ``cli_brieskorn``, ``handlebody`` and
+``nucleus`` in ``cli_handlebody``, ``check`` in ``cli_check``. There a
+command is the function of its name, spaces and dashes written as
+underscores (``check theta-survey`` is ``cli_check.check_theta_survey``),
+and it returns its payload: a dict, or the ``NamedTuple`` record its layer
+returns, as it is. One renderer prints every payload, and it reads a
+record, at any depth, as the dict of its fields that are not None:
 
 - ``--json``: ``emit_json(payload)``, sorted keys, byte-identical across
   runs; exact rationals are emitted as ``{"den": ..., "num": ...}``.
@@ -14,20 +18,36 @@ reads a record, at any depth, as the dict of its fields that are not None:
   tuple or list as ``(a, b)`` and any other object through ``str``; a
   list of dicts or records prints one ``k=v k=v`` line per row.
 
-A subcommand whose table has another shape returns the pair ``(payload,
+A command whose table has another shape returns the pair ``(payload,
 lines)``, a plain tuple. Inputs stay under Python's 4,300-digit limit on
 int-to-str conversion, but an exact result, a polynomial in them, may
 not; ``main`` lifts the limit for the whole run and restores it at the
 end, so a command formats its lines as it likes.
 
-A command is one short process, so it pays only for what it uses: it
-imports the layers it calls inside its function (``emit_json`` imports
-``json``; ``build_parser`` imports no layer). ``main`` reads a well-formed
-argv with ``_read_argv``, against the same registry and without
-``argparse``. Help, usage errors and any argv the reader does not take
-exactly as ``argparse`` would go to ``build_parser()``, the parser of every
-command, which prints them (``tests/test_cli_golden.py`` checks that both
-paths print the same).
+A command is one short process, so it pays only for what it uses. Where
+no bytecode is cached (``PYTHONDONTWRITEBYTECODE=1``, say), a process
+compiles every module it imports from source, and compiling is most of the
+program's own part of a run. So ``main`` imports only the command module
+of the command it runs, a command module imports the layers its commands
+call, and ``build_parser`` imports neither: a process compiles this module
+(3.3 ms) and one command module (0.2-0.8 ms), where this module with the
+commands of every group took 4.7 ms (medians of 60 ``compile`` calls;
+Python 3.11, two-CPU x86-64 host). ``emit_json`` writes JSON itself and
+escapes a string exactly as ``json.dumps`` does: importing ``json``, to
+write one line, took 2.2 ms (median of 21 processes), most of it compiling
+its decoder's patterns. On a sweep's 3.8 MB of JSON the writer also takes
+less time than ``json.dumps`` did.
+``python -m steinkit.cli`` runs this file as ``__main__``, which registers
+itself as ``steinkit.cli``, so that a command module importing its helpers
+does not compile and run it a second time.
+
+``main`` reads a well-formed argv with ``_read_argv``, against
+``COMMANDS`` and without ``argparse``. Help, usage errors and any argv the
+reader does not take exactly as ``argparse`` would go to ``build_parser()``,
+the parser of every command (``tests/test_cli_golden.py`` checks that both
+paths print the same). ``main`` prints the parser's help and usage text as
+it prints a command's output and errors, and then raises the parser's
+``SystemExit``.
 
 Every integer, on argv or in a file, is ASCII ``-?[0-9]+`` of at most 4,300
 digits, read by ``errors.integer``: a bad one on argv is a usage error
@@ -39,8 +59,9 @@ Exit codes: 0 on success, 1 on domain errors (typed error name on stderr),
 A reader that closes stdout early (``| head``), or a stdout closed from the
 start (``>&-``), ends the run with exit 0 and nothing on stderr; a write
 that fails otherwise (``> /dev/full``) exits 1 with one typed line, such as
-``OSError: [Errno 28] No space left on device``. With stderr closed
-(``2>&-``) the exit code alone reports an error.
+``OSError: [Errno 28] No space left on device``. Where stderr is closed
+(``2>&-``) or a write to it fails (``2> /dev/full``), the exit code alone
+reports an error. Help and usage text take the same paths.
 
 ``main`` returns the exit code and never ends the process, so tests and
 the benchmark's traced launcher call it in process. ``run``, the entry of
@@ -48,8 +69,8 @@ the benchmark's traced launcher call it in process. ``run``, the entry of
 with ``os._exit`` once stdout and stderr are flushed, so ``atexit`` handlers
 (coverage's subprocess hook, say) do not run: interpreter teardown takes
 longer than most commands' own work, about 9 ms of a 70 ms run (Python 3.11,
-two-CPU x86-64 host). Help and usage errors leave through
-``argparse``'s ``SystemExit``, and end as any Python process does.
+two-CPU x86-64 host). It ends help and usage errors the same way, with the
+code of their ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -60,7 +81,7 @@ import sys
 import types
 
 from .errors import (
-    DomainError, ExcludedCase, InvariantViolation, MalformedToken, WorkBudgetExceeded, integer,
+    DomainError, InvariantViolation, MalformedToken, WorkBudgetExceeded, integer,
 )
 
 # Most rows ``brieskorn sigma-sweep``, ``brieskorn casson-harer`` and ``check
@@ -74,27 +95,51 @@ WORK_BUDGET = 10**5
 # (comments, blank lines, spaces, leading zeros, repeated flip lines).
 READ_BUDGET = 2**22
 
-# "name" or "group name" -> (function, arguments), in registration order
-COMMANDS: dict[str, tuple] = {}
+
+def _parse_schedule(text: str) -> tuple[int, int]:
+    try:
+        up_s, down_s = text.split(",")
+        return integer(up_s), integer(down_s)
+    except ValueError:
+        import argparse  # only argparse reports this error
+        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}") from None
+
+
+# "name" or "group name" -> (command module, arguments), in help order. An
+# argument is a bare name (a positional int), ``--name`` (a required int
+# option) or ``(name, add_argument kwargs)``; ``_read_argv`` reads the kwargs
+# ``type``, ``choices``, ``required`` and ``default``, and ``metavar`` and
+# ``help`` only show in help.
+COMMANDS: dict[str, tuple[str, tuple]] = {
+    "front stats": ("cli_front", (("file", {}),)),
+    "front stabilize": ("cli_front", (
+        ("file", {}), "--component", ("--dir", {"choices": ("up", "down"), "required": True}),
+        "--at",
+    )),
+    "torus-knot": ("cli_front", (
+        "p", "q", ("--stabilize", {"type": _parse_schedule, "metavar": "a,b"}),
+    )),
+    "brieskorn invariants": ("cli_brieskorn", ("p1", "p2", "p3")),
+    "brieskorn seifert": ("cli_brieskorn", ("p1", "p2", "p3")),
+    "brieskorn surgery": ("cli_brieskorn", ("p", "q", "n", ("sign", {}))),
+    "brieskorn sigma-sweep": ("cli_brieskorn", ("--pmax", "--nmax")),
+    "brieskorn casson-harer": ("cli_brieskorn", ("--pmax", "--nmax")),
+    "handlebody analyze": ("cli_handlebody", (("file", {}),)),
+    "nucleus": ("cli_handlebody", ("p", "q", "n")),
+    "check hirz": ("cli_check", ("--tb", "--r", "--n", "--m")),
+    "check embed": ("cli_check", ("p", "q", "eps")),
+    "check prop-theta": ("cli_check", ("p", "q", "eps")),
+    "check cave": ("cli_check", ("--tb", "--r", "--k")),
+    "check flip": ("cli_check", ("--r0", "--up", "--down", "--target")),
+    "check slice": ("cli_check", ("--tb", "--r", "--g")),
+    "check theta-survey": ("cli_check", ("--bound",)),
+}
 GROUPS = {
     "front": "front diagram operations",
     "brieskorn": "Brieskorn sphere operations",
     "handlebody": "Kirby data operations",
     "check": "embedding and filling criteria",
 }
-
-
-def command(name: str, *arguments):
-    """Register a subcommand. An argument is a bare name (a positional int),
-    ``--name`` (a required int option) or ``(name, add_argument kwargs)``;
-    ``_read_argv`` reads the kwargs ``type``, ``choices``, ``required`` and
-    ``default``, and ``metavar`` and ``help`` only show in help."""
-
-    def register(func):
-        COMMANDS[name] = (func, arguments)
-        return func
-
-    return register
 
 
 def _is_fraction(value) -> bool:
@@ -113,20 +158,56 @@ def _items(value):
     return None
 
 
-def _canonical(value):
+# The characters ``json.dumps`` escapes by name; it writes the other
+# characters outside ASCII " " to "~" as ``\uXXXX``, in UTF-16.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
+
+
+def _string(text: str) -> str:
+    """``text`` as a JSON string, escaped as ``json.dumps`` escapes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for c in text:
+        n = ord(c)
+        if c in _ESCAPES:
+            out.append(_ESCAPES[c])
+        elif 32 <= n < 127:
+            out.append(c)
+        elif n < 0x10000:
+            out.append(f"\\u{n:04x}")
+        else:  # a surrogate pair
+            n -= 0x10000
+            out.append(f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json(value) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, default=str)`` writes
+    it, where a record is the dict of its fields that are not None and an
+    exact rational the dict ``{"den": ..., "num": ...}``."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return _string(value)
     if _is_fraction(value):
-        return {"num": value.numerator, "den": value.denominator}
+        value = {"num": value.numerator, "den": value.denominator}
     items = _items(value)
     if items is not None:
-        return {k: _canonical(v) for k, v in items}
+        return "{" + ", ".join(f"{_string(k)}: {_json(v)}" for k, v in sorted(items)) + "}"
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return _string(str(value))
 
 
-def emit_json(result) -> str:
-    import json
-    return json.dumps(_canonical(result), sort_keys=True, default=str)
+def emit_json(payload) -> str:
+    """``payload`` as one line of JSON with sorted keys."""
+    return _json(payload)
 
 
 def _format(value) -> str:
@@ -155,30 +236,6 @@ def _table(payload):
             yield f"{key}={_format(value)}"
 
 
-def _schedule_table(payload):
-    """The table shows a stabilization schedule as the pair (up, down)."""
-    return _table({k: tuple(v) if k == "schedule" else v for k, v in _items(payload)})
-
-
-def _events(diagram) -> list[list]:
-    return [[ev.kind, ev.position] for ev in diagram.events]
-
-
-def _front_payload(diagram) -> dict:
-    from . import fronts
-    comps = fronts.components(diagram)
-    k = len(comps)
-    _check_rows(k + k * (k - 1) // 2, f"a front of {k} components")
-    per_comp = [
-        {"index": c.index, **fronts.invariants(diagram, c.index)._asdict()} for c in comps
-    ]
-    table = fronts.linking_matrix(diagram)
-    linking = [
-        {"i": i, "j": j, "lk": table[i][j]} for i in range(k) for j in range(i + 1, k)
-    ]
-    return {"components": per_comp, "linking": linking}
-
-
 def _check_rows(rows: int, flags: str) -> None:
     """Refuse, before any work, a command that may emit ``rows`` rows."""
     if rows > WORK_BUDGET:
@@ -190,190 +247,6 @@ def _coprime_pairs(bound: int):
         for q in range(p + 1, bound + 1):
             if math.gcd(p, q) == 1:
                 yield p, q
-
-
-def _triple(args):
-    from . import brieskorn
-    return brieskorn.BrieskornTriple(args.p1, args.p2, args.p3)
-
-
-def _parse_schedule(text: str) -> tuple[int, int]:
-    try:
-        up_s, down_s = text.split(",")
-        return integer(up_s), integer(down_s)
-    except ValueError:
-        import argparse  # only argparse reports this error
-        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}") from None
-
-
-@command("front stats", ("file", {}))
-def _front_stats(args):
-    from . import fronts
-    payload = _front_payload(fronts.parse_front(_read(args.file)))
-    return payload, [
-        f"components={len(payload['components'])}",
-        *(f"component {c['index']}: tb={c['tb']} r={c['r']}" for c in payload["components"]),
-        *(f"lk {e['i']} {e['j']} = {e['lk']}" for e in payload["linking"]),
-    ]
-
-
-@command(
-    "front stabilize", ("file", {}), "--component",
-    ("--dir", {"choices": ("up", "down"), "required": True}), "--at",
-)
-def _front_stabilize(args):
-    from . import fronts
-    diagram = fronts.parse_front(_read(args.file))
-    out = fronts.stabilize_diagram(diagram, args.component, args.dir, args.at)
-    payload = {
-        "events": _events(out),
-        "flips": sorted(out.orientation_flips),
-        **_front_payload(out),
-    }
-    # table mode prints the front file format so the output round-trips
-    return payload, fronts.serialize_front(out).splitlines()
-
-
-@command("torus-knot", "p", "q", ("--stabilize", {"type": _parse_schedule, "metavar": "a,b"}))
-def _torus_knot(args):
-    from . import fronts
-    params = fronts.TorusKnotParams(args.p, args.q)
-    schedule = None if args.stabilize is None else fronts.StabilizationSchedule(*args.stabilize)
-    diagram = fronts.torus_knot_front(params, schedule)
-    inv = fronts.invariants(diagram, 0)
-    payload = {"events": _events(diagram), "tb": inv.tb, "r": inv.r}
-    word = "; ".join(f"{kind} {position}" for kind, position in payload["events"])
-    return payload, [word, f"tb={inv.tb} r={inv.r}"]
-
-
-@command("brieskorn invariants", "p1", "p2", "p3")
-def _brieskorn_invariants(args):
-    from . import brieskorn
-    inv = brieskorn.milnor_invariants(_triple(args))
-    payload = {"b2": inv.b2, "chi": inv.chi, "sigma": inv.sigma, "theta": inv.theta_boundary}
-    # c1 is in the JSON only
-    return {**payload, "c1": inv.c1}, _table(payload)
-
-
-@command("brieskorn seifert", "p1", "p2", "p3")
-def _brieskorn_seifert(args):
-    from . import brieskorn
-    return brieskorn.seifert_data(_triple(args))
-
-
-@command("brieskorn surgery", "p", "q", "n", ("sign", {}))
-def _brieskorn_surgery(args):
-    from . import brieskorn
-    sign = {"+": 1, "+1": 1, "-": -1, "-1": -1}.get(args.sign)
-    if sign is None:
-        raise UsageExit(f"sign must be + or -, got {args.sign!r}")
-    result = brieskorn.surgery_to_brieskorn(
-        brieskorn.SurgeryDescription(p=args.p, q=args.q, n=args.n, sign=sign)
-    )
-    return {"sign": result.sign, **result.triple._asdict()}, [str(result)]
-
-
-@command("brieskorn sigma-sweep", "--pmax", "--nmax")
-def _sigma_sweep(args):
-    from . import brieskorn
-    pmax, nmax = max(args.pmax, 0), max(args.nmax, 0)
-    _check_rows(pmax * (pmax - 1) // 2 * nmax, f"--pmax {args.pmax} --nmax {args.nmax}")
-    rows = []
-    # without an n there is no row, so the pairs are not enumerated
-    for p, q in _coprime_pairs(pmax if nmax else 0):
-        for n in range(1, nmax + 1):
-            lattice = brieskorn.sigma_lattice(brieskorn.BrieskornTriple(p, q, n * p * q - 1))
-            closed = brieskorn.sigma_closed_form(p, q, n)
-            rows.append({"p": p, "q": q, "n": n, "sigma": lattice, "closed": closed})
-    return {"rows": rows}
-
-
-@command("brieskorn casson-harer", "--pmax", "--nmax")
-def _casson_harer(args):
-    from . import brieskorn
-    pmax, nmax = max(args.pmax, 0), max(args.nmax, 0)
-    # at most two triples per (p, n)
-    _check_rows(2 * pmax * nmax, f"--pmax {args.pmax} --nmax {args.nmax}")
-    triples = brieskorn.casson_harer_families(args.pmax, args.nmax)
-    return {"triples": triples}, [f"Sigma({t.p1},{t.p2},{t.p3})" for t in triples]
-
-
-@command("handlebody analyze", ("file", {}))
-def _handlebody_analyze(args):
-    from . import handlebody
-    return handlebody.analyze(handlebody.parse_kirby(_read(args.file)))
-
-
-@command("nucleus", "p", "q", "n")
-def _nucleus(args):
-    from . import handlebody
-    data = handlebody.nucleus(args.p, args.q, args.n)
-    # ``l`` and ``fiber_genus`` are one number; the payload keeps both keys
-    head = {"l": data.fiber_genus, **data._asdict()}
-    kirby, analysis = head.pop("kirby"), head.pop("analysis")
-    handles = kirby.two_handles
-    payload = {**head, "handles": handles, "linking": kirby.linking, "analysis": analysis}
-    return payload, [*_table(head), *(f"handle {_row(h)}" for h in handles), *_table(analysis)]
-
-
-@command("check hirz", "--tb", "--r", "--n", "--m")
-def _check_hirz(args):
-    from . import criteria, legendrian
-    inv0 = legendrian.LegendrianInvariants(tb=args.tb, r=args.r)
-    verdict = criteria.hirz_check(inv0, args.n, args.m)
-    return verdict, _schedule_table(verdict)
-
-
-@command("check embed", "p", "q", "eps")
-def _check_embed(args):
-    from . import criteria
-    plan = criteria.brieskorn_embed_plan(args.p, args.q, args.eps)
-    payload = {**plan._asdict(), "split_forms": criteria.SPLIT_FORMS}
-    return payload, _schedule_table({**payload, "split_forms": " ".join(criteria.SPLIT_FORMS)})
-
-
-@command("check prop-theta", "p", "q", "eps")
-def _check_prop_theta(args):
-    from . import criteria
-    return criteria.prop_theta_check(args.p, args.q, args.eps)
-
-
-@command("check cave", "--tb", "--r", "--k")
-def _check_cave(args):
-    from . import criteria, legendrian
-    inv = legendrian.LegendrianInvariants(tb=args.tb, r=args.r)
-    return criteria.cave_check(inv, args.k)
-
-
-@command("check flip", "--r0", "--up", "--down", "--target")
-def _check_flip(args):
-    from . import criteria
-    return criteria.flip_reach(args.r0, args.up, args.down, args.target)
-
-
-@command("check slice", "--tb", "--r", "--g")
-def _check_slice(args):
-    from . import criteria, legendrian
-    inv = legendrian.LegendrianInvariants(tb=args.tb, r=args.r)
-    return {"satisfied": criteria.slice_genus_check(inv, args.g)}
-
-
-@command("check theta-survey", "--bound")
-def _check_theta_survey(args):
-    """``check prop-theta`` for eps = +1 then -1 over coprime 2 <= p < q <= bound."""
-    from . import criteria
-    bound = max(args.bound, 0)
-    _check_rows(bound * (bound - 1), f"--bound {args.bound}")
-    rows, excluded = [], []
-    for eps in (1, -1):
-        for p, q in _coprime_pairs(args.bound):
-            try:
-                report = criteria.prop_theta_check(p, q, eps)
-            except ExcludedCase:
-                excluded.append([p, q, eps])
-                continue
-            rows.append({"p": p, "q": q, "eps": eps, **report._asdict()})
-    return {"rows": rows, "excluded": excluded}
 
 
 class UsageExit(Exception):
@@ -397,7 +270,7 @@ def _read(path: str) -> str:
 
 
 def _spec(arg) -> tuple[str, dict]:
-    """A registered argument as ``add_argument``'s name and keywords."""
+    """A command's argument as ``add_argument``'s name and keywords."""
     if isinstance(arg, tuple):
         return arg
     if arg.startswith("--"):
@@ -418,7 +291,7 @@ def _read_argv(argv):
     ``argparse`` takes it: help, ``--``, ``--name=value``, an abbreviated,
     unknown, repeated or missing option, a wrong count of positionals or a
     value that does not convert."""
-    for name, (func, arguments) in COMMANDS.items():
+    for name, (_module, arguments) in COMMANDS.items():
         words = name.split()
         if list(argv[: len(words)]) == words:
             break
@@ -443,7 +316,7 @@ def _read_argv(argv):
         return None
     given.update(zip(names, positionals))
     # the command words under the dests of build_parser's two subparser levels
-    values = dict(zip(("command", "subcommand"), words), json="--json" in given, func=func)
+    values = dict(zip(("command", "subcommand"), words), json="--json" in given, name=name)
     for name, kwargs in specs.items():
         if name in given:
             try:
@@ -474,7 +347,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for name, (func, arguments) in COMMANDS.items():
+    for name, (_module, arguments) in COMMANDS.items():
         *group, leaf = name.split()
         parent = sub
         if group:
@@ -486,15 +359,70 @@ def build_parser():
         p = parent.add_parser(leaf, parents=[shared])
         for arg_name, kwargs in map(_spec, arguments):
             p.add_argument(arg_name, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(name=name)
     return parser
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)``. Where the parser exits, for help
+    or a usage error, its text is printed here as a command's output and
+    errors are, and its ``SystemExit`` raised again: ``argparse`` itself
+    writes a usage line to stdout when stderr is closed and help to stderr
+    when stdout is, and ignores a write that fails."""
+    import io
+
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        return build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code, text, errors = exc.code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdout, sys.stderr = streams
+    _error(errors)
+    if text:  # help: exit 0, unless it cannot be written
+        code = _print([text.removesuffix("\n")])
+    raise SystemExit(code)
+
+
+def _discard(stream) -> None:
+    """Send what is still buffered for ``stream`` to /dev/null, so that no
+    later flush fails again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _error(text: str) -> None:
+    """Write ``text`` to stderr if stderr takes it; where it does not, the
+    exit code alone reports the error."""
+    if sys.stderr is None:  # closed from the start (``2>&-``)
+        return
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _discard(sys.stderr)
 
 
 def _fail(name: str, exc: Exception, code: int) -> int:
     """Print a failed run's one typed line and return its exit code."""
-    if sys.stderr is not None:  # with stderr closed, print would write to stdout
-        print(f"{name}: {exc}", file=sys.stderr)
+    _error(f"{name}: {exc}\n")
     return code
+
+
+def _print(lines) -> int:
+    """Print ``lines`` to stdout and return the exit code of the run."""
+    if sys.stdout is None:  # closed from the start (``>&-``): no reader to print to
+        return 0
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except OSError as exc:
+        _discard(sys.stdout)
+        # a reader that went away (``| head``) ends the run
+        if not isinstance(exc, BrokenPipeError):
+            return _fail(type(exc).__name__, exc, 1)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -503,35 +431,24 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = _read_argv(argv)
-        if args is None:  # help, a usage error or an argv the reader leaves to argparse
-            args = build_parser().parse_args(argv)
+        # None for help, a usage error or an argv the reader leaves to argparse
+        args = _read_argv(argv) or _parse(argv)
+        from importlib import import_module
+        module = import_module(f"steinkit.{COMMANDS[args.name][0]}")
+        func = getattr(module, args.name.replace(" ", "_").replace("-", "_"))
         try:
-            result = args.func(args)
+            result = func(args)
         except DomainError as exc:
             return _fail(type(exc).__name__, exc, 1)
         except UsageExit as exc:
             return _fail("UsageError", exc, 2)
         except InvariantViolation as exc:
             return _fail("InvariantViolation", exc, 3)
-        if sys.stdout is None:  # closed from the start (``>&-``): no reader to print to
-            return 0
         # a record is a tuple too, but not a plain one
         payload, lines = result if type(result) is tuple else (result, None)
-        try:
-            if args.json:
-                print(emit_json(payload))
-            else:
-                for line in _table(payload) if lines is None else lines:
-                    print(line)
-            sys.stdout.flush()
-        except OSError as exc:
-            # What is still buffered goes to /dev/null, so no later flush fails again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            # a reader that went away (``| head``) ends the run
-            if not isinstance(exc, BrokenPipeError):
-                return _fail(type(exc).__name__, exc, 1)
-        return 0
+        if args.json:
+            lines = [emit_json(payload)]
+        return _print(_table(payload) if lines is None else lines)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -539,7 +456,10 @@ def main(argv=None) -> int:
 def run():
     """Run ``main`` on ``sys.argv`` and end the process with its exit code
     once stdout and stderr are flushed, skipping interpreter teardown."""
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # help or a usage error, already printed
+        code = exc.code
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
@@ -547,4 +467,7 @@ def run():
 
 
 if __name__ == "__main__":
+    # the command modules import their helpers from ``steinkit.cli``: this
+    # module, not a second copy compiled again
+    sys.modules["steinkit.cli"] = sys.modules[__name__]
     run()

@@ -9,10 +9,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from json_oracle import dumps
 from steinkit import cli
+from steinkit.brieskorn import BrieskornTriple, OrientedBrieskorn
 from steinkit.cli import emit_json
 
 
@@ -20,6 +25,32 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object = None
+
+
+# what a command may return: dicts, records with fields that are None, lists
+# and tuples, of bools, None, ints (some over 4,300 digits), exact
+# rationals, strings and objects written through ``str``
+SIGNS = st.sampled_from([1, -1])
+TRIPLES = st.sampled_from([BrieskornTriple(2, 3, 5), BrieskornTriple(3, 4, 23)])
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.builds(lambda k, sign: sign * (10**k + 7), st.integers(4300, 4400), SIGNS),
+    st.fractions(), st.text(max_size=8), st.builds(OrientedBrieskorn, TRIPLES, SIGNS),
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.builds(Pair, inner, st.none() | inner),
+    ),
+    max_leaves=24,
+)
 
 
 class TestEmitJson:
@@ -47,6 +78,30 @@ class TestEmitJson:
         _, out1, _ = run(capsys, "brieskorn", "invariants", "2", "3", "5", "--json")
         _, out2, _ = run(capsys, "brieskorn", "invariants", "2", "3", "5", "--json")
         assert out1 == out2
+
+    @settings(max_examples=400, deadline=None)
+    @given(PAYLOADS)
+    def test_writer_matches_json(self, payload):
+        """The writer gives the bytes ``json.dumps`` gave, and they read back
+        through ``json.loads``, ints of over 4,300 digits too under the limit
+        ``main`` lifts."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = emit_json(payload)
+            assert text == dumps(payload)
+            assert json.dumps(json.loads(text), sort_keys=True) == text
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "text", ['"', "\\", "\x00", "\x1f", "\x7f", "\b\f\n\r\t", "\u00e9", "\u2028", "\U0001f600",
+                 "\ud800", 'a "b" \\c'],
+    )
+    def test_strings_escape_as_json_does(self, text):
+        """No payload holds a string that needs escaping today; one that does
+        is escaped exactly as ``json.dumps`` escapes it, as key and as value."""
+        assert emit_json({text: [text]}) == json.dumps({text: [text]})
 
 
 class TestCommands:
@@ -484,6 +539,9 @@ SUCCESS = ("brieskorn", "invariants", "2", "3", "5")
 TABLE = "b2=8\nchi=9\nsigma=-8\ntheta=6\n"
 DOMAIN_ERROR = ("check", "embed", "2", "5", "-1")
 EXCLUDED = "ExcludedCase: Sigma(2,5,9) is excluded\n"
+USAGE_ERROR = ("brieskorn", "invariants", "2", "3")
+MISSING_FILE = ("front", "stats", "/nonexistent/file.front")
+FULL = "OSError: [Errno 28] No space left on device\n"
 
 # registers an atexit handler that touches the file named by the first argument
 ATEXIT = (
@@ -518,23 +576,58 @@ def test_process_ends_without_teardown(tmp_path, argv, expected):
     [
         (">&-", SUCCESS, (0, "", "")),
         (">&-", DOMAIN_ERROR, (1, "", EXCLUDED)),
-        ("> /dev/full", SUCCESS, (1, "", "OSError: [Errno 28] No space left on device\n")),
+        ("> /dev/full", SUCCESS, (1, "", FULL)),
         ("> /dev/full", DOMAIN_ERROR, (1, "", EXCLUDED)),
         ("2>&-", SUCCESS, (0, TABLE, "")),
         ("2>&-", DOMAIN_ERROR, (1, "", "")),
+        ("2>&-", USAGE_ERROR, (2, "", "")),
+        (">&-", ("--help",), (0, "", "")),
+        ("> /dev/full", ("--help",), (1, "", FULL)),
+        ("2> /dev/full", USAGE_ERROR, (2, "", "")),
+        ("2> /dev/full", MISSING_FILE, (2, "", "")),
     ],
     ids=["closed-stdout", "closed-stdout-error", "full", "full-error", "closed-stderr",
-         "closed-stderr-error"],
+         "closed-stderr-error", "closed-stderr-usage", "closed-stdout-help", "full-help",
+         "full-stderr-usage", "full-stderr-missing-file"],
 )
 def test_output_streams_that_fail(redirect, argv, expected):
     """A stdout closed from the start reads as a reader that went away: exit
     0, nothing on stderr. A write that fails exits 1 with one typed line.
-    With stderr closed, an error leaves stdout empty and exits 1. None of
-    them prints a traceback."""
+    With stderr closed or full, an error leaves stdout empty and exits 1,
+    or 2 for a usage error. Help takes the paths a command's output takes.
+    None of them prints a traceback, with stdout buffered or not."""
     if "/dev/full" in redirect and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
-    proc = run_python("-m", "steinkit.cli", *argv, prefix=("sh", "-c", f'"$@" {redirect}', "sh"))
-    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    for flags in ((), ("-u",)):
+        proc = run_python(
+            *flags, "-m", "steinkit.cli", *argv, prefix=("sh", "-c", f'"$@" {redirect}', "sh"),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, flags
+
+
+# logs the source file of every code object that ``exec`` runs, to the file
+# named by the first argument, then runs ``steinkit.cli`` as ``-m`` does
+EXECS = (
+    "import runpy, sys\n"
+    "log = open(sys.argv.pop(1), 'a')\n"
+    "def hook(event, args):\n"
+    "    if event == 'exec':\n"
+    "        print(args[0].co_filename, file=log, flush=True)\n"
+    "sys.addaudithook(hook)\n"
+    "runpy.run_module('steinkit.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+def test_module_run_executes_cli_once(tmp_path):
+    """Run as ``python -m steinkit.cli``, ``cli.py`` is ``__main__``, and the
+    command module that imports its helpers gets that module, not a second
+    copy compiled and run again."""
+    log = tmp_path / "execs"
+    proc = run_python("-c", EXECS, str(log), *SUCCESS)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, TABLE, "")
+    ran = [Path(f).name for f in log.read_text().splitlines() if Path(f).parent.name == "steinkit"]
+    assert ran.count("cli.py") == 1
+    assert [name for name in ran if name.startswith("cli_")] == ["cli_brieskorn.py"]
 
 
 def loaded_by(code):
@@ -556,34 +649,40 @@ LAYERS = {
     f"steinkit.{m}"
     for m in ("brieskorn", "criteria", "fronts", "handlebody", "legendrian", "linalg")
 }
+COMMAND_MODULES = {f"steinkit.{module}" for module, _ in cli.COMMANDS.values()}
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
     """The records are plain classes, so importing the CLI imports neither
     ``dataclasses`` nor the ``inspect`` it pulls in; and each command imports
     its own layers, so importing the CLI and building its parser imports no
-    layer module, nor ``json``, ``fractions`` or ``decimal``."""
+    command module or layer module, nor ``json``, ``fractions`` or
+    ``decimal``."""
     loaded = loaded_by("import steinkit.cli; steinkit.cli.build_parser()")
     assert "steinkit.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json", "fractions", "decimal", *LAYERS}
+    assert len(COMMAND_MODULES) == 4
+    assert not loaded & {
+        "dataclasses", "inspect", "json", "fractions", "decimal", *LAYERS, *COMMAND_MODULES,
+    }
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["front", "stats", "{front}"], {"fronts", "legendrian"}),
-        (["torus-knot", "2", "3"], {"fronts", "legendrian"}),
-        (["brieskorn", "invariants", "2", "3", "5"], {"brieskorn", "legendrian"}),
+        (["front", "stats", "{front}"], {"cli_front", "fronts", "legendrian"}),
+        (["torus-knot", "2", "3"], {"cli_front", "fronts", "legendrian"}),
+        (["brieskorn", "invariants", "2", "3", "5"],
+         {"cli_brieskorn", "brieskorn", "legendrian"}),
         (["brieskorn", "invariants", "2", "3", "5", "--json"],
-         {"brieskorn", "legendrian", "json"}),
-        (["brieskorn", "seifert", "2", "3", "7"], {"brieskorn", "legendrian"}),
+         {"cli_brieskorn", "brieskorn", "legendrian"}),
+        (["brieskorn", "seifert", "2", "3", "7"], {"cli_brieskorn", "brieskorn", "legendrian"}),
         (["handlebody", "analyze", "{kirby}"],
-         {"handlebody", "legendrian", "linalg", "fractions"}),
+         {"cli_handlebody", "handlebody", "legendrian", "linalg", "fractions"}),
         (["nucleus", "2", "3", "2"],
-         {"brieskorn", "handlebody", "legendrian", "linalg", "fractions"}),
-        (["check", "embed", "2", "3", "1"], {"brieskorn", "criteria", "legendrian"}),
+         {"cli_handlebody", "brieskorn", "handlebody", "legendrian", "linalg", "fractions"}),
+        (["check", "embed", "2", "3", "1"], {"cli_check", "brieskorn", "criteria", "legendrian"}),
         (["check", "flip", "--r0", "-3", "--up", "2", "--down", "0", "--target", "1"],
-         {"criteria", "legendrian"}),
+         {"cli_check", "criteria", "legendrian"}),
     ],
     ids=[
         "front-stats", "torus-knot", "brieskorn-table", "brieskorn-json", "brieskorn-seifert",
@@ -591,16 +690,18 @@ def test_import_leaves_out_dataclasses_and_inspect():
     ],
 )
 def test_command_imports_only_its_layers(tmp_path, argv, expected):
-    """Of the layers, ``fractions`` and ``json``, a command loads exactly
-    those it uses: only the commands that trace a diagram load ``fronts``.
-    A well-formed argv is read without ``argparse``, so no command loads it
-    or the ``gettext`` it pulls in."""
+    """Of the command modules, the layers, ``fractions`` and ``json``, a
+    command loads exactly those it uses: its own command module and no
+    other, and only the commands that trace a diagram load ``fronts``. No
+    command loads ``json``: ``emit_json`` writes JSON itself. A well-formed
+    argv is read without ``argparse``, so no command loads it or the
+    ``gettext`` it pulls in."""
     front, kirby = tmp_path / "u.front", tmp_path / "h.kirby"
     front.write_text("L 0\nR 0\n", encoding="utf-8")
     kirby.write_text("1-handles 0\nhandle tb=1 r=0 framing=0\n", encoding="utf-8")
     argv = [a.format(front=front, kirby=kirby) for a in argv]
     loaded = loaded_by(f"from steinkit import cli; assert cli.main({argv!r}) == 0")
-    watched = LAYERS | {"fractions", "json", "argparse", "gettext"}
+    watched = LAYERS | COMMAND_MODULES | {"fractions", "json", "argparse", "gettext"}
     assert {m.removeprefix("steinkit.") for m in loaded & watched} == expected
 
 

@@ -13,7 +13,8 @@ steinkit.cli``, which must print the same bytes.
 oracle. Over the golden argv and ``PARSER_CASES``, ``main`` must print the
 same stdout and whole stderr and exit the same with the reader as with
 ``argparse`` alone, and over generated argv the reader must give either
-nothing or exactly the values ``argparse`` gives.
+nothing or exactly the values ``argparse`` gives. Every ``--json`` payload
+is written as ``json.dumps`` wrote it (``json_oracle.py``).
 """
 
 import argparse
@@ -30,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from json_oracle import dumps
 from steinkit import cli, handlebody
 from steinkit.errors import InvalidParams, MalformedToken, integer
 
@@ -154,6 +156,28 @@ def test_golden_in_a_process(index, tmp_path):
     argv, files = CASES[index]
     got = run_case(argv, files, tmp_path, runner=run_process)
     assert got == {k: expected()[index][k] for k in ("exit", "stdout", "stderr")}
+
+
+JSON_CASES = [i for i, (argv, _) in enumerate(CASES) if "--json" in argv]
+
+
+@pytest.mark.parametrize("index", JSON_CASES, ids=lambda i: " ".join(CASES[i][0]))
+def test_golden_json_matches_json_dumps(index, tmp_path, monkeypatch):
+    """``emit_json`` writes each golden payload as ``json.dumps`` wrote it,
+    in a run of ``main``, under the int-to-str limit ``main`` lifts."""
+    write = cli.emit_json
+    written = []
+
+    def checked(payload):
+        written.append(write(payload))
+        assert written[-1] == dumps(payload)
+        return written[-1]
+
+    monkeypatch.setattr(cli, "emit_json", checked)
+    argv, files = CASES[index]
+    code, out, _ = run_main(argv, files, tmp_path)
+    assert code == 0 and out == written[0] + "\n"
+    json.loads(out)
 
 
 def _command_names(parser: argparse.ArgumentParser, prefix=()):
