@@ -32,11 +32,11 @@ of the command it runs, a command module imports the layers its commands
 call, and ``build_parser`` imports neither: a process compiles this module
 (3.3 ms) and one command module (0.2-0.8 ms), where this module with the
 commands of every group took 4.7 ms (medians of 60 ``compile`` calls;
-Python 3.11, two-CPU x86-64 host). ``emit_json`` writes JSON itself and
-escapes a string exactly as ``json.dumps`` does: importing ``json``, to
-write one line, took 2.2 ms (median of 21 processes), most of it compiling
-its decoder's patterns. On a sweep's 3.8 MB of JSON the writer also takes
-less time than ``json.dumps`` did.
+Python 3.11, two-CPU x86-64 host). ``emit_json`` writes JSON itself, and
+hands ``json.dumps`` only a string that is not printable ASCII free of
+``"`` and ``\\``: importing ``json``, to write one line, took 2.2 ms (median
+of 21 processes), most of it compiling its decoder's patterns. On a sweep's
+3.8 MB of JSON the writer also takes less time than ``json.dumps`` did.
 ``python -m steinkit.cli`` runs this file as ``__main__``, which registers
 itself as ``steinkit.cli``, so that a command module importing its helpers
 does not compile and run it a second time.
@@ -45,9 +45,16 @@ does not compile and run it a second time.
 ``COMMANDS`` and without ``argparse``. Help, usage errors and any argv the
 reader does not take exactly as ``argparse`` would go to ``build_parser()``,
 the parser of every command (``tests/test_cli_golden.py`` checks that both
-paths print the same). ``main`` prints the parser's help and usage text as
-it prints a command's output and errors, and then raises the parser's
-``SystemExit``.
+paths print the same).
+
+A run prints into memory: ``main`` swaps ``sys.stdout`` and ``sys.stderr``
+for two ``io.StringIO`` buffers for the whole run, parsing included, so a
+command's output, its error line and the parser's help and usage text all
+land there. At the end, also when an exception propagates, ``main``
+restores both streams and ``_deliver``, the only code that writes to them,
+writes stdout's buffer and then stderr's, one write and one flush each. For
+help or a usage error ``main`` then raises the parser's ``SystemExit`` again.
+The largest output, a sweep at ``WORK_BUDGET`` rows, is about 4 MB.
 
 Every integer, on argv or in a file, is ASCII ``-?[0-9]+`` of at most 4,300
 digits, read by ``errors.integer``: a bad one on argv is a usage error
@@ -66,15 +73,16 @@ reports an error. Help and usage text take the same paths.
 ``main`` returns the exit code and never ends the process, so tests and
 the benchmark's traced launcher call it in process. ``run``, the entry of
 ``python -m steinkit.cli`` and of the ``steinkit`` script, ends the process
-with ``os._exit`` once stdout and stderr are flushed, so ``atexit`` handlers
-(coverage's subprocess hook, say) do not run: interpreter teardown takes
-longer than most commands' own work, about 9 ms of a 70 ms run (Python 3.11,
-two-CPU x86-64 host). It ends help and usage errors the same way, with the
-code of their ``SystemExit``.
+with ``os._exit`` once ``main`` has delivered its output, so ``atexit``
+handlers (coverage's subprocess hook, say) do not run: interpreter teardown
+takes longer than most commands' own work, about 9 ms of a 70 ms run
+(Python 3.11, two-CPU x86-64 host). It ends help and usage errors the same
+way, with the code of their ``SystemExit``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import sys
@@ -87,7 +95,8 @@ from .errors import (
 # Most rows ``brieskorn sigma-sweep``, ``brieskorn casson-harer`` and ``check
 # theta-survey`` may emit, bounded from their arguments before any work. A
 # row costs O(log) integer steps, so a run at the budget takes one to three
-# seconds (Python 3.11 on one core of an x86-64 host).
+# seconds (Python 3.11 on one core of an x86-64 host). ``front`` commands
+# stay under it through ``fronts.COMPONENT_BUDGET``.
 WORK_BUDGET = 10**5
 
 # Most bytes a front or Kirby file may have, checked before it is decoded.
@@ -158,35 +167,18 @@ def _items(value):
     return None
 
 
-# The characters ``json.dumps`` escapes by name; it writes the other
-# characters outside ASCII " " to "~" as ``\uXXXX``, in UTF-16.
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
-            "\t": "\\t"}
-
-
 def _string(text: str) -> str:
     """``text`` as a JSON string, escaped as ``json.dumps`` escapes it."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    out = []
-    for c in text:
-        n = ord(c)
-        if c in _ESCAPES:
-            out.append(_ESCAPES[c])
-        elif 32 <= n < 127:
-            out.append(c)
-        elif n < 0x10000:
-            out.append(f"\\u{n:04x}")
-        else:  # a surrogate pair
-            n -= 0x10000
-            out.append(f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}")
-    return '"' + "".join(out) + '"'
+    import json  # only a string that needs escaping pays for the import
+    return json.dumps(text)
 
 
-def _json(value) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True, default=str)`` writes
-    it, where a record is the dict of its fields that are not None and an
-    exact rational the dict ``{"den": ..., "num": ...}``."""
+def emit_json(value) -> str:
+    """``value`` as one line of JSON, as ``json.dumps(value, sort_keys=True,
+    default=str)`` writes it, where a record is the dict of its fields that
+    are not None and an exact rational the dict ``{"den": ..., "num": ...}``."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -199,15 +191,10 @@ def _json(value) -> str:
         value = {"num": value.numerator, "den": value.denominator}
     items = _items(value)
     if items is not None:
-        return "{" + ", ".join(f"{_string(k)}: {_json(v)}" for k, v in sorted(items)) + "}"
+        return "{" + ", ".join(f"{_string(k)}: {emit_json(v)}" for k, v in sorted(items)) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_json, value)) + "]"
+        return "[" + ", ".join(map(emit_json, value)) + "]"
     return _string(str(value))
-
-
-def emit_json(payload) -> str:
-    """``payload`` as one line of JSON with sorted keys."""
-    return _json(payload)
 
 
 def _format(value) -> str:
@@ -363,106 +350,86 @@ def build_parser():
     return parser
 
 
-def _parse(argv):
-    """``build_parser().parse_args(argv)``. Where the parser exits, for help
-    or a usage error, its text is printed here as a command's output and
-    errors are, and its ``SystemExit`` raised again: ``argparse`` itself
-    writes a usage line to stdout when stderr is closed and help to stderr
-    when stdout is, and ignores a write that fails."""
-    import io
-
-    streams = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    try:
-        return build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code, text, errors = exc.code, sys.stdout.getvalue(), sys.stderr.getvalue()
-    finally:
-        sys.stdout, sys.stderr = streams
-    _error(errors)
-    if text:  # help: exit 0, unless it cannot be written
-        code = _print([text.removesuffix("\n")])
-    raise SystemExit(code)
-
-
-def _discard(stream) -> None:
-    """Send what is still buffered for ``stream`` to /dev/null, so that no
-    later flush fails again."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-
-
-def _error(text: str) -> None:
-    """Write ``text`` to stderr if stderr takes it; where it does not, the
-    exit code alone reports the error."""
-    if sys.stderr is None:  # closed from the start (``2>&-``)
-        return
-    try:
-        sys.stderr.write(text)
-        sys.stderr.flush()
-    except OSError:
-        _discard(sys.stderr)
-
-
 def _fail(name: str, exc: Exception, code: int) -> int:
     """Print a failed run's one typed line and return its exit code."""
-    _error(f"{name}: {exc}\n")
+    print(f"{name}: {exc}", file=sys.stderr)
     return code
 
 
-def _print(lines) -> int:
-    """Print ``lines`` to stdout and return the exit code of the run."""
-    if sys.stdout is None:  # closed from the start (``>&-``): no reader to print to
-        return 0
+def _run(argv) -> int:
+    """Run the command ``argv`` names, print its output and return the exit
+    code; ``argparse`` prints help and usage errors and raises ``SystemExit``."""
+    # None for help, a usage error or an argv the reader leaves to argparse
+    args = _read_argv(argv) or build_parser().parse_args(argv)
+    from importlib import import_module
+    module = import_module(f"steinkit.{COMMANDS[args.name][0]}")
+    func = getattr(module, args.name.replace(" ", "_").replace("-", "_"))
     try:
-        for line in lines:
-            print(line)
-        sys.stdout.flush()
-    except OSError as exc:
-        _discard(sys.stdout)
-        # a reader that went away (``| head``) ends the run
-        if not isinstance(exc, BrokenPipeError):
-            return _fail(type(exc).__name__, exc, 1)
+        result = func(args)
+    except DomainError as exc:
+        return _fail(type(exc).__name__, exc, 1)
+    except UsageExit as exc:
+        return _fail("UsageError", exc, 2)
+    except InvariantViolation as exc:
+        return _fail("InvariantViolation", exc, 3)
+    # a record is a tuple too, but not a plain one
+    payload, lines = result if type(result) is tuple else (result, None)
+    if args.json:
+        lines = [emit_json(payload)]
+    for line in _table(payload) if lines is None else lines:
+        print(line)
     return 0
+
+
+def _deliver(text: str, stream) -> OSError | None:
+    """Write ``text`` to ``stream``, the real stdout or stderr, and flush it;
+    return the error of a write that fails."""
+    # a stream closed from the start (``>&-``) takes nothing; nor is empty text
+    # written, since unbuffered (``-u``) even an empty write reaches the file
+    if stream is None or not text:
+        return None
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        # what is still buffered goes to /dev/null, so no later flush fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    streams, limit = (sys.stdout, sys.stderr), sys.get_int_max_str_digits()
+    sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
     # lifted for the whole run; ``errors.integer`` caps every input itself
-    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    parsed = True
     try:
-        # None for help, a usage error or an argv the reader leaves to argparse
-        args = _read_argv(argv) or _parse(argv)
-        from importlib import import_module
-        module = import_module(f"steinkit.{COMMANDS[args.name][0]}")
-        func = getattr(module, args.name.replace(" ", "_").replace("-", "_"))
-        try:
-            result = func(args)
-        except DomainError as exc:
-            return _fail(type(exc).__name__, exc, 1)
-        except UsageExit as exc:
-            return _fail("UsageError", exc, 2)
-        except InvariantViolation as exc:
-            return _fail("InvariantViolation", exc, 3)
-        # a record is a tuple too, but not a plain one
-        payload, lines = result if type(result) is tuple else (result, None)
-        if args.json:
-            lines = [emit_json(payload)]
-        return _print(_table(payload) if lines is None else lines)
+        code = _run(argv)
+    except SystemExit as exc:  # help or a usage error
+        code, parsed = exc.code, False
     finally:
+        sys.stdout, sys.stderr = streams
         sys.set_int_max_str_digits(limit)
+        failed = _deliver(out.getvalue(), streams[0])
+        # a reader that went away (``| head``) ends the run
+        if failed is not None and not isinstance(failed, BrokenPipeError):
+            print(f"{type(failed).__name__}: {failed}", file=err)
+            code = 1
+        _deliver(err.getvalue(), streams[1])
+    if not parsed:
+        raise SystemExit(code)
+    return code
 
 
 def run():
-    """Run ``main`` on ``sys.argv`` and end the process with its exit code
-    once stdout and stderr are flushed, skipping interpreter teardown."""
+    """Run ``main`` on ``sys.argv`` and end the process with its exit code,
+    skipping interpreter teardown; ``main`` has flushed what it printed."""
     try:
         code = main()
     except SystemExit as exc:  # help or a usage error, already printed
         code = exc.code
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
     os._exit(code)
 
 

@@ -2,7 +2,7 @@
 diagrams; ``cli.main`` imports this module only to run one of them."""
 
 from . import fronts
-from .cli import _check_rows, _read
+from .cli import _read
 
 
 def _events(diagram) -> list[list]:
@@ -12,7 +12,6 @@ def _events(diagram) -> list[list]:
 def _front_payload(diagram) -> dict:
     comps = fronts.components(diagram)
     k = len(comps)
-    _check_rows(k + k * (k - 1) // 2, f"a front of {k} components")
     per_comp = [
         {"index": c.index, **fronts.invariants(diagram, c.index)._asdict()} for c in comps
     ]

@@ -66,12 +66,12 @@ DOWN = "down"
 # on one core of an x86-64 host).
 EVENT_BUDGET = 10**5
 
-# Most components a traced front may have. The trace fills one k x k table
-# (signed crossing counts, then linking numbers), so a front of more is
-# refused once its sweep has counted them, before the table is built. A front
-# of 1,000 unknots traces in about 0.1 s (Python 3.11 on one core of an x86-64
-# host).
-COMPONENT_BUDGET = 1000
+# Most components a traced front may have: the most whose ``front stats``
+# rows, k components and k(k-1)/2 linking pairs, fit the CLI's 10**5 row
+# budget. The trace fills one k x k table (signed crossing counts, then
+# linking numbers), so a front of more is refused once its sweep has counted
+# them, before the table is built.
+COMPONENT_BUDGET = 446
 
 
 class FrontEvent(NamedTuple):

@@ -369,9 +369,18 @@ class TestTypedFailures:
         path.write_text("L 0\nR 0\n" * 500, encoding="utf-8")
         proc = run_process("front", command, str(path), *options)
         self.assert_typed(proc, "WorkBudgetExceeded")
-        assert proc.stderr == (
-            f"WorkBudgetExceeded: a front of 500 components may emit over {cli.WORK_BUDGET} rows\n"
-        )
+        assert proc.stderr == "WorkBudgetExceeded: the front has 500 components, more than 446\n"
+
+    def test_component_budget_fits_the_row_budget(self):
+        """``fronts.COMPONENT_BUDGET`` is the most components whose ``front
+        stats`` rows, one per component and one per linking pair, fit
+        ``cli.WORK_BUDGET``, so the trace's own check bounds the rows."""
+        from steinkit import fronts
+
+        def rows(k):
+            return k + k * (k - 1) // 2
+
+        assert rows(fronts.COMPONENT_BUDGET) <= cli.WORK_BUDGET < rows(fronts.COMPONENT_BUDGET + 1)
 
     @pytest.mark.parametrize(
         "command, options",
@@ -491,14 +500,27 @@ def test_integer_cap_holds_under_any_int_str_limit(tmp_path, limit):
     assert len(err.splitlines()) == 1
 
 
-def test_main_restores_the_int_str_limit(capsys):
-    """``main`` lifts Python's limit on int-to-str conversion for its run
-    only, also when argparse ends the run."""
-    limit = sys.get_int_max_str_digits()
-    assert run(capsys, "check", "slice", "--tb", "1", "--r", "0", "--g", "1")[0] == 0
-    with pytest.raises(SystemExit):
-        cli.main(["check", "slice", "--tb", "1"])
-    assert sys.get_int_max_str_digits() == limit
+def test_main_restores_the_int_str_limit(capsys, monkeypatch):
+    """``main`` lifts Python's limit on int-to-str conversion, and prints
+    into buffers in place of ``sys.stdout`` and ``sys.stderr``, for its run
+    only: it restores all three after success, a domain error, help, a usage
+    error and an exception it does not handle."""
+    from steinkit import cli_check
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    before = sys.stdout, sys.stderr, sys.get_int_max_str_digits()
+    slice_argv = ["check", "slice", "--tb", "1", "--r", "0", "--g", "1"]
+    for argv, raises in [
+        (slice_argv, None), (["check", "embed", "2", "5", "-1"], None), (["--help"], SystemExit),
+        (["check", "slice", "--tb", "1"], SystemExit), (slice_argv, RuntimeError),
+    ]:
+        if raises is RuntimeError:
+            monkeypatch.setattr(cli_check, "check_slice", boom)
+        with pytest.raises(raises) if raises else contextlib.nullcontext():
+            cli.main(argv)
+        assert (sys.stdout, sys.stderr, sys.get_int_max_str_digits()) == before, argv
 
 
 def padded_unknot(size: int) -> bytes:
@@ -542,6 +564,46 @@ EXCLUDED = "ExcludedCase: Sigma(2,5,9) is excluded\n"
 USAGE_ERROR = ("brieskorn", "invariants", "2", "3")
 MISSING_FILE = ("front", "stats", "/nonexistent/file.front")
 FULL = "OSError: [Errno 28] No space left on device\n"
+
+
+class CountingStream(io.StringIO):
+    """A stream that counts the calls to its ``write``."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_output_is_written_once(monkeypatch):
+    """A run prints into memory, and its whole table reaches stdout in one
+    ``write``."""
+    stdout = CountingStream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(list(SUCCESS)) == 0
+    assert (stdout.getvalue(), stdout.writes) == (TABLE, 1)
+
+
+def test_output_is_delivered_before_an_exception(monkeypatch):
+    """What a command printed before an exception ``main`` does not handle
+    stays in memory while the command runs, and is written out before the
+    exception propagates."""
+    from steinkit import cli_brieskorn
+
+    stdout, seen = io.StringIO(), []
+
+    def boom(args):
+        print("partial")
+        seen.append(stdout.getvalue())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_brieskorn, "brieskorn_invariants", boom)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.main(list(SUCCESS))
+    assert (seen, stdout.getvalue()) == ([""], "partial\n")
+
 
 # registers an atexit handler that touches the file named by the first argument
 ATEXIT = (

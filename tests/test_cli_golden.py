@@ -163,8 +163,9 @@ JSON_CASES = [i for i, (argv, _) in enumerate(CASES) if "--json" in argv]
 
 @pytest.mark.parametrize("index", JSON_CASES, ids=lambda i: " ".join(CASES[i][0]))
 def test_golden_json_matches_json_dumps(index, tmp_path, monkeypatch):
-    """``emit_json`` writes each golden payload as ``json.dumps`` wrote it,
-    in a run of ``main``, under the int-to-str limit ``main`` lifts."""
+    """``emit_json`` writes each golden payload, and each value nested in
+    it, as ``json.dumps`` wrote it, in a run of ``main``, under the int-to-str
+    limit ``main`` lifts; the payload itself is the last value written."""
     write = cli.emit_json
     written = []
 
@@ -176,7 +177,7 @@ def test_golden_json_matches_json_dumps(index, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "emit_json", checked)
     argv, files = CASES[index]
     code, out, _ = run_main(argv, files, tmp_path)
-    assert code == 0 and out == written[0] + "\n"
+    assert code == 0 and out == written[-1] + "\n"
     json.loads(out)
 
 

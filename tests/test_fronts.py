@@ -155,16 +155,17 @@ class TestComponents:
             fronts.parse_front("L 0\n" * (k + 1) + "R 0\n" * (k + 1))
 
     def test_trace_holds_one_table(self):
-        """At the component budget the trace holds one k x k table of 8 MB
-        (k lists of k pointers); a second table would take the peak to 16 MB."""
-        text = "L 0\nR 0\n" * fronts.COMPONENT_BUDGET
+        """At the component budget the trace holds one k x k table of 8k^2
+        bytes (k lists of k pointers, 1.6 MB); a second table would double
+        the peak."""
+        k = fronts.COMPONENT_BUDGET
         tracemalloc.start()
         try:
-            fronts.parse_front(text)
+            fronts.parse_front("L 0\nR 0\n" * k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 10**6
+        assert peak < 12 * k * k
 
     def test_event_budget(self):
         """Up to ``EVENT_BUDGET`` events trace; one more is refused before the
